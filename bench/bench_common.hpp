@@ -1,10 +1,10 @@
 #pragma once
-// Shared infrastructure of the figure-reproduction benches.
+// Shared infrastructure of the qualitative figure benches (fig1, fig4).
 //
-// Every fig*_ bench binary reproduces one figure of the paper.  The
-// experiment definitions themselves live in the core ExperimentRegistry
-// (src/core/registry.cpp) — see registry_bench.hpp for the adapter — so
-// this header only carries the smoke-run scaling and the standard main.
+// The tabular figures are registry scenarios (src/core/registry.cpp) run
+// through `experiments --run <name>`; these two benches draw the paper's
+// visual panels, so this header only carries the smoke-run scaling and
+// the standard main.
 //
 // Set BAYESFT_QUICK=1 to shrink datasets/epochs for a fast smoke run.
 
@@ -22,7 +22,7 @@ inline bool quick_mode() {
     return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-/// Dataset sizing shared by the non-registry benches (fig1, fig4).
+/// Dataset sizing shared by the figure benches.
 inline std::size_t default_sample_count(std::size_t full) {
     return quick_mode() ? full / 4 : full;
 }

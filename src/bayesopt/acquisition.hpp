@@ -2,8 +2,9 @@
 // Acquisition functions: given the GP posterior at a candidate, score how
 // promising the candidate is.  The paper's Algorithm 1 (line 9) selects
 // the argmax of the posterior itself — i.e. pure exploitation of the
-// surrogate mean; EI and UCB are standard alternatives used in the
-// `ablation_bo_vs_random` bench.
+// surrogate mean; EI and UCB are standard alternatives compared in the
+// `ablation_bo_vs_random` scenario (`experiments --run
+// ablation_bo_vs_random`).
 
 #include <memory>
 #include <string>

@@ -58,8 +58,8 @@ struct ArchSearchConfig {
     /// resumes exactly at another.
     std::size_t workers = 0;
     /// Fault-tolerant trial execution (docs/robustness.md).  Candidates
-    /// are self-contained, so `isolate` forks each live evaluation into a
-    /// crash-isolated child here; results are bit-identical with and
+    /// are self-contained, so `isolate` runs each live attempt in a
+    /// one-shot forked worker here; results are bit-identical with and
     /// without it (the knobs are excluded from the scenario digest).
     ResilienceConfig resilience;
     /// Extra fine-tuning epochs on the rebuilt winner.

@@ -1,10 +1,10 @@
 #pragma once
-// Single-attempt execution and retry policy shared by every candidate
-// evaluation path — in-process (core/engine.cpp), crash-isolated children,
-// and the distributed worker pool (core/distrib.cpp).  Internal to the
-// runtime; not part of the public engine API.
+// Single-attempt execution and retry policy shared by both candidate
+// evaluation paths — in-process (core/engine.cpp) and the out-of-process
+// worker pool behind --isolate and --workers (core/distrib.cpp).  Internal
+// to the runtime; not part of the public engine API.
 //
-// All three paths must classify and retry identically: chaos decisions,
+// Both paths must classify and retry identically: chaos decisions,
 // the attempt taxonomy, and the backoff delay are pure functions of the
 // candidate seed and attempt index, which is what keeps a recovered trial
 // bit-identical to one that never failed, on every execution path.
@@ -40,9 +40,9 @@ void backoff_sleep(const ResilienceConfig& resilience,
 /// One guarded in-process evaluation attempt: applies the (seeded, pure)
 /// chaos decision, absorbs evaluator exceptions, classifies non-finite
 /// results, and applies the post-hoc wall-clock deadline.  In-process the
-/// deadline cannot preempt a stuck evaluator — that needs a child process
-/// (isolation or a worker), which is SIGKILLed; here an injected hang
-/// sleeps just past the deadline and is then classified.
+/// deadline cannot preempt a stuck evaluator — that needs a worker
+/// process, which is SIGKILLed; here an injected hang sleeps just past the
+/// deadline and is then classified.
 AttemptResult guarded_attempt(const fault::ChaosSpec& chaos,
                               const ResilienceConfig& resilience,
                               std::uint64_t candidate_seed,
@@ -50,7 +50,7 @@ AttemptResult guarded_attempt(const fault::ChaosSpec& chaos,
                               const std::function<double()>& run);
 
 /// Bounded-retry wrapper around guarded_attempt, starting at
-/// `first_attempt` (> 0 when a child-based attempt already failed and the
+/// `first_attempt` (> 0 when a worker attempt already failed and the
 /// candidate fell back to in-process execution with its remaining retry
 /// budget).  Each retry rolls fresh chaos dice (the attempt index is
 /// folded into the decision) but replays the identical candidate stream,

@@ -4,10 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <csignal>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <limits>
 #include <sstream>
@@ -17,9 +14,11 @@
 #include "core/attempt.hpp"
 #include "core/runstore.hpp"
 #include "utils/logging.hpp"
+#include "utils/signals.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -32,23 +31,16 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// Consecutive worker-spawn failures before the watchdog degrades the
-/// pool (same threshold as the crash-isolation watchdog in engine.cpp).
+/// Consecutive worker-spawn failures before the watchdog degrades the pool.
 constexpr std::size_t kSpawnFailureLimit = 3;
 
-/// Tag folded into the chaos spawn-failure stream so pool spawns draw
-/// independently of per-candidate isolated-attempt spawns.
+/// Tag folded into the chaos spawn-failure key: spawn draws are keyed by
+/// (slot, respawn count), not by a candidate.
 constexpr std::uint64_t kWorkerSpawnTag = 0x776F726B65724FULL;  // "workerO"
 
 #ifdef BAYESFT_HAS_FORK
 
 using Clock = std::chrono::steady_clock;
-
-std::int64_t to_epoch_ns(Clock::time_point at) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               at.time_since_epoch())
-        .count();
-}
 
 /// One decoded coordinator request.
 struct Request {
@@ -95,6 +87,29 @@ bool parse_request(const std::string& line, Request& out) {
     return true;
 }
 
+/// Classifies one response line: a trial line for the expected candidate
+/// carries the attempt's status ("ok" with a non-finite objective is a NaN
+/// failure, as on every path).  False for a torn or foreign line.
+bool parse_response(const std::string& line, std::size_t index,
+                    TrialStatus& status, double& utility) {
+    RunRecord record;
+    if (!RunStore::parse_line(line, record) || record.kind != "trial" ||
+        record.trial != index) {
+        return false;
+    }
+    status = parse_trial_status(record.status)
+                 .value_or(TrialStatus::kFailedCrash);
+    utility = kNaN;
+    if (status == TrialStatus::kOk) {
+        if (std::isfinite(record.objective)) {
+            utility = record.objective;
+        } else {
+            status = TrialStatus::kFailedNaN;
+        }
+    }
+    return true;
+}
+
 bool write_all(int fd, const std::string& data) {
     const char* cursor = data.data();
     std::size_t left = data.size();
@@ -110,24 +125,11 @@ bool write_all(int fd, const std::string& data) {
     return true;
 }
 
-/// Writes to a worker whose other end may have vanished must come back as
-/// EPIPE (classified as a worker death), not kill the coordinator.  Set
-/// once, process-wide, before the first pipe write.
-void ignore_sigpipe_once() {
-    static const bool done = [] {
-        struct sigaction action {};
-        action.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &action, nullptr);
-        return true;
-    }();
-    (void)done;
-}
-
 /// Evaluates one request and writes its run-store trial line.  Chaos
-/// semantics in a persistent worker: `worker_crash` aborts the whole
+/// semantics, the same in both pool modes: `worker_crash` aborts the whole
 /// process (the coordinator must recover); `crash` is an attempt-level
-/// failure the worker survives and reports; `hang` blocks until the
-/// coordinator's SIGKILL deadline; `nan` poisons the objective.
+/// failure the worker reports; `hang` blocks until the coordinator's
+/// SIGKILL deadline; `nan` poisons the objective.
 void serve_request(int response_fd, const WorkerPool::Config& config,
                    const PointEvaluator& evaluator, const Request& request) {
     if (fault::chaos_worker_crash(config.chaos, request.cseed,
@@ -172,7 +174,8 @@ void serve_request(int response_fd, const WorkerPool::Config& config,
 }
 
 /// The worker process: serve request lines until the coordinator closes
-/// the request pipe (EOF is the shutdown signal).
+/// the request pipe (EOF is the shutdown signal), or — one-shot — exit
+/// after the first.
 [[noreturn]] void worker_main(int request_fd, int response_fd,
                               const WorkerPool::Config& config,
                               const PointEvaluator& evaluator) {
@@ -191,7 +194,18 @@ void serve_request(int response_fd, const WorkerPool::Config& config,
         Request request;
         if (!parse_request(line, request)) ::_exit(6);
         serve_request(response_fd, config, evaluator, request);
+        if (config.resilience.isolate) ::_exit(0);
     }
+}
+
+/// Milliseconds from now until `wake`, rounded up so the wait never ends
+/// before `wake`; -1 (wait indefinitely) for time_point::max().
+int poll_timeout_ms(Clock::time_point wake) {
+    if (wake == Clock::time_point::max()) return -1;
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        wake - Clock::now());
+    return static_cast<int>(std::clamp<std::chrono::milliseconds::rep>(
+        left.count(), 0, std::numeric_limits<int>::max()));
 }
 
 #endif  // BAYESFT_HAS_FORK
@@ -200,20 +214,18 @@ void serve_request(int response_fd, const WorkerPool::Config& config,
 
 #ifdef BAYESFT_HAS_FORK
 
-WorkerPool::WorkerPool(Config config, PointEvaluator evaluator)
-    : config_(std::move(config)), evaluator_(std::move(evaluator)) {
+WorkerPool::WorkerPool(Config config) : config_(std::move(config)) {
     ignore_sigpipe_once();
     const std::size_t n = std::max<std::size_t>(1, config_.workers);
     workers_.resize(n);
     spawn_counts_.assign(n, 0);
-    for (std::size_t slot = 0; slot < n && !degraded_; ++slot) {
-        spawn_worker(slot);
-    }
 }
 
 WorkerPool::~WorkerPool() {
     // EOF on the request pipe is the shutdown signal; workers that ignore
-    // it (hung by injected chaos) are SIGKILLed after a short grace.
+    // it (hung by injected chaos) are SIGKILLed after a short grace.  An
+    // exiting worker hangs up its response pipe, which is what poll waits
+    // for.
     for (Worker& worker : workers_) {
         if (worker.request_fd >= 0) ::close(worker.request_fd);
         worker.request_fd = -1;
@@ -221,24 +233,15 @@ WorkerPool::~WorkerPool() {
     const auto grace_end = Clock::now() + std::chrono::milliseconds(250);
     for (Worker& worker : workers_) {
         if (worker.pid < 0) continue;
-        const pid_t pid = static_cast<pid_t>(worker.pid);
-        int status = 0;
-        pid_t reaped = 0;
-        while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0 &&
-               Clock::now() < grace_end) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        if (reaped == 0) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, &status, 0);
-        }
-        if (worker.response_fd >= 0) ::close(worker.response_fd);
-        worker.pid = -1;
-        worker.response_fd = -1;
+        pollfd hangup{worker.response_fd, POLLIN, 0};
+        const bool exited =
+            ::poll(&hangup, 1, poll_timeout_ms(grace_end)) > 0;
+        shutdown_worker(worker, /*kill=*/!exited);
     }
 }
 
-bool WorkerPool::spawn_worker(std::size_t slot) {
+bool WorkerPool::spawn_worker(std::size_t slot,
+                              const PointEvaluator& evaluator) {
     Worker& worker = workers_[slot];
     bool failed = fault::chaos_spawn_failure(
         config_.chaos, kWorkerSpawnTag ^ static_cast<std::uint64_t>(slot),
@@ -285,7 +288,7 @@ bool WorkerPool::spawn_worker(std::size_t slot) {
             if (other.request_fd >= 0) ::close(other.request_fd);
             if (other.response_fd >= 0) ::close(other.response_fd);
         }
-        worker_main(request_fds[0], response_fds[1], config_, evaluator_);
+        worker_main(request_fds[0], response_fds[1], config_, evaluator);
     }
 
     // --- coordinator
@@ -318,6 +321,7 @@ void WorkerPool::shutdown_worker(Worker& worker, bool kill) {
 
 void WorkerPool::evaluate(const std::vector<Alpha>& points,
                           const std::vector<std::size_t>& live,
+                          const PointEvaluator& evaluator,
                           const EvalContext& context, BatchOutcome& outcome) {
     struct Job {
         std::size_t index = 0;
@@ -341,15 +345,15 @@ void WorkerPool::evaluate(const std::vector<Alpha>& points,
         const AttemptResult result = evaluate_with_retries(
             config_.chaos, resilience, cseed, job.attempt, [&] {
                 Rng rng(cseed);
-                return evaluator_(points[job.index], rng);
+                return evaluator(points[job.index], rng);
             });
         outcome.utilities[job.index] = result.utility;
         outcome.statuses[job.index] = result.status;
     };
 
-    // Identical retry/quarantine semantics to the other evaluation paths:
-    // a failed attempt re-enters the queue with deterministic backoff
-    // until the retry budget runs out, then the failure is recorded.
+    // Identical retry/quarantine semantics to the in-process path: a
+    // failed attempt re-enters the queue with deterministic backoff until
+    // the retry budget runs out, then the failure is recorded.
     auto finalize = [&](std::size_t index, std::uint64_t attempt,
                         TrialStatus status, double utility) {
         if (status != TrialStatus::kOk && attempt < resilience.max_retries) {
@@ -363,23 +367,11 @@ void WorkerPool::evaluate(const std::vector<Alpha>& points,
         outcome.statuses[index] = status;
     };
 
+    std::vector<pollfd> waiting;
     for (;;) {
-        if (degraded_) {
-            // The watchdog tripped (possibly mid-batch): everything still
-            // queued runs in-process; busy workers below finish normally.
-            while (!queue.empty()) {
-                run_in_process(queue.front());
-                queue.pop_front();
-            }
-        }
-        bool any_busy = false;
-        for (const Worker& worker : workers_) any_busy |= worker.busy;
-        if (queue.empty() && !any_busy) break;
-
-        bool progressed = false;
-
-        // Dispatch ready jobs to idle workers, respawning dead slots on
-        // demand (each failed respawn feeds the watchdog).
+        // Dispatch ready jobs: an idle persistent worker first, else a
+        // worker forked on demand into an empty slot (each failed spawn
+        // feeds the watchdog).
         for (auto it = queue.begin(); !degraded_ && it != queue.end();) {
             if (it->not_before > Clock::now()) {
                 ++it;
@@ -395,7 +387,7 @@ void WorkerPool::evaluate(const std::vector<Alpha>& points,
             if (slot == workers_.size()) {
                 for (std::size_t i = 0; i < workers_.size(); ++i) {
                     if (workers_[i].pid < 0) {
-                        if (spawn_worker(i)) slot = i;
+                        if (spawn_worker(i, evaluator)) slot = i;
                         break;
                     }
                 }
@@ -414,7 +406,6 @@ void WorkerPool::evaluate(const std::vector<Alpha>& points,
                 shutdown_worker(worker, /*kill=*/false);
                 finalize(job.index, job.attempt, TrialStatus::kFailedCrash,
                          kNaN);
-                progressed = true;
                 continue;
             }
             worker.busy = true;
@@ -422,119 +413,117 @@ void WorkerPool::evaluate(const std::vector<Alpha>& points,
             worker.job_attempt = job.attempt;
             worker.has_deadline = resilience.timeout_seconds > 0.0;
             if (worker.has_deadline) {
-                worker.deadline_ns = to_epoch_ns(
+                worker.deadline =
                     Clock::now() +
                     std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(
-                            resilience.timeout_seconds)));
+                            resilience.timeout_seconds));
             }
-            progressed = true;
+        }
+        if (degraded_) {
+            // The watchdog tripped (possibly mid-batch): everything still
+            // queued runs in-process; busy workers below finish normally.
+            for (const Job& job : queue) run_in_process(job);
+            queue.clear();
         }
 
-        // Poll the busy workers: drain responses, classify complete trial
-        // lines, detect deaths, enforce deadlines.
+        // Wait in poll() for a response (or hang-up) from a busy worker,
+        // the nearest trial deadline, or — while a slot is free — the
+        // nearest retry gate.
+        waiting.clear();
+        Clock::time_point wake = Clock::time_point::max();
+        bool slot_free = false;
+        for (const Worker& worker : workers_) {
+            if (!worker.busy) {
+                slot_free = true;
+                continue;
+            }
+            waiting.push_back({worker.response_fd, POLLIN, 0});
+            if (worker.has_deadline) wake = std::min(wake, worker.deadline);
+        }
+        if (waiting.empty() && queue.empty()) break;
+        if (slot_free) {
+            for (const Job& job : queue) {
+                wake = std::min(wake, job.not_before);
+            }
+        }
+        ::poll(waiting.data(), waiting.size(), poll_timeout_ms(wake));
+
+        // Collect: classify complete trial lines, detect deaths, enforce
+        // deadlines.  A one-shot worker is reaped after its attempt; a
+        // persistent one is reaped only when dead, desynchronized, or hung.
         for (Worker& worker : workers_) {
             if (!worker.busy) continue;
             char buf[512];
             ssize_t got = 0;
-            bool saw_eof = false;
             while ((got = ::read(worker.response_fd, buf, sizeof buf)) > 0) {
                 worker.buffer.append(buf, static_cast<std::size_t>(got));
             }
-            if (got == 0) saw_eof = true;
-
             const std::size_t newline = worker.buffer.find('\n');
+            TrialStatus status = TrialStatus::kFailedCrash;
+            double utility = kNaN;
+            bool reap = resilience.isolate;
+            bool kill = false;
             if (newline != std::string::npos) {
-                const std::string line = worker.buffer.substr(0, newline);
-                worker.buffer.erase(0, newline + 1);
-                RunRecord record;
-                const bool parsed =
-                    RunStore::parse_line(line, record) &&
-                    record.kind == "trial" &&
-                    record.trial == worker.job_index;
-                if (!parsed) {
-                    // Torn or foreign line: the protocol is desynchronized
-                    // beyond repair for this worker — kill and respawn.
-                    const std::size_t index = worker.job_index;
-                    const std::uint64_t attempt = worker.job_attempt;
-                    shutdown_worker(worker, /*kill=*/true);
-                    finalize(index, attempt, TrialStatus::kFailedCrash,
-                             kNaN);
-                } else {
-                    TrialStatus status =
-                        parse_trial_status(record.status)
-                            .value_or(TrialStatus::kFailedCrash);
-                    double utility = kNaN;
-                    if (status == TrialStatus::kOk) {
-                        // Defense in depth: "ok" with a non-finite
-                        // objective is a NaN failure, as on every path.
-                        if (std::isfinite(record.objective)) {
-                            utility = record.objective;
-                        } else {
-                            status = TrialStatus::kFailedNaN;
-                        }
-                    }
-                    worker.busy = false;
-                    finalize(worker.job_index, worker.job_attempt, status,
-                             utility);
+                if (!parse_response(worker.buffer.substr(0, newline),
+                                    worker.job_index, status, utility)) {
+                    // Torn or foreign line (a failed_crash): the protocol
+                    // is desynchronized beyond repair for this worker —
+                    // kill and respawn.
+                    reap = kill = true;
                 }
-                progressed = true;
-                continue;
-            }
-            if (saw_eof) {
+                worker.buffer.erase(0, newline + 1);
+            } else if (got == 0) {
                 // EOF without a complete line: the worker died
                 // mid-evaluation (SIGKILL, abort, injected worker_crash).
-                const std::size_t index = worker.job_index;
-                const std::uint64_t attempt = worker.job_attempt;
-                shutdown_worker(worker, /*kill=*/false);
-                finalize(index, attempt, TrialStatus::kFailedCrash, kNaN);
-                progressed = true;
-                continue;
+                reap = true;
+            } else if (worker.has_deadline && Clock::now() > worker.deadline) {
+                // A hung worker cannot be cancelled politely: SIGKILL it
+                // and record the timeout.
+                status = TrialStatus::kFailedTimeout;
+                reap = kill = true;
+            } else {
+                continue;  // still evaluating
             }
-            if (worker.has_deadline &&
-                to_epoch_ns(Clock::now()) > worker.deadline_ns) {
-                // A hung worker cannot be cancelled politely: SIGKILL it,
-                // record the timeout, and respawn the slot on demand.
-                const std::size_t index = worker.job_index;
-                const std::uint64_t attempt = worker.job_attempt;
-                shutdown_worker(worker, /*kill=*/true);
-                finalize(index, attempt, TrialStatus::kFailedTimeout, kNaN);
-                progressed = true;
+            const std::size_t index = worker.job_index;
+            const std::uint64_t attempt = worker.job_attempt;
+            if (reap) {
+                shutdown_worker(worker, kill);
+            } else {
+                worker.busy = false;
             }
-        }
-
-        if (!progressed) {
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            finalize(index, attempt, status, utility);
         }
     }
 }
 
 #else  // !BAYESFT_HAS_FORK
 
-// Platforms without fork never reach the distributed path (the engine
-// gates on its own fork check), but the pool must still link; a
-// constructed pool degrades immediately and evaluates in-process.
+// Platforms without fork: a constructed pool degrades immediately (the
+// engine then evaluates in-process) and evaluate() runs in-process too.
 
-WorkerPool::WorkerPool(Config config, PointEvaluator evaluator)
-    : config_(std::move(config)), evaluator_(std::move(evaluator)) {
+WorkerPool::WorkerPool(Config config) : config_(std::move(config)) {
     degraded_ = true;
 }
 
 WorkerPool::~WorkerPool() = default;
 
-bool WorkerPool::spawn_worker(std::size_t) { return false; }
+bool WorkerPool::spawn_worker(std::size_t, const PointEvaluator&) {
+    return false;
+}
 
 void WorkerPool::shutdown_worker(Worker&, bool) {}
 
 void WorkerPool::evaluate(const std::vector<Alpha>& points,
                           const std::vector<std::size_t>& live,
+                          const PointEvaluator& evaluator,
                           const EvalContext& context, BatchOutcome& outcome) {
     for (const std::size_t j : live) {
         const std::uint64_t cseed = candidate_seed(context, points[j]);
         const AttemptResult result = evaluate_with_retries(
             config_.chaos, config_.resilience, cseed, 0, [&] {
                 Rng rng(cseed);
-                return evaluator_(points[j], rng);
+                return evaluator(points[j], rng);
             });
         outcome.utilities[j] = result.utility;
         outcome.statuses[j] = result.status;

@@ -1,9 +1,15 @@
 #pragma once
-// Distributed candidate evaluation (docs/distributed.md): a coordinator /
-// worker split of the self-contained point-evaluation path.  The
-// coordinator — the process that owns the GP, the checkpoint, and the run
-// store — keeps proposing candidate groups exactly as before; a WorkerPool
-// of N forked worker processes of the same binary evaluates them.
+// Out-of-process candidate evaluation (docs/distributed.md,
+// docs/robustness.md): the one executor behind both `--workers` and
+// `--isolate`.  The coordinator — the process that owns the GP, the
+// checkpoint, and the run store — keeps proposing candidate groups exactly
+// as before; a WorkerPool of forked worker processes of the same binary
+// evaluates them.  The pool has two modes and one dispatch loop:
+//   - persistent (EngineConfig::workers = N): up to N workers, each
+//     serving attempts until the pool shuts down;
+//   - one-shot (ResilienceConfig::isolate): each worker serves exactly one
+//     attempt and is then reaped, so a crash, leak, or corrupted heap
+//     never outlives the attempt that caused it.
 //
 // Protocol (one attempt):
 //   coordinator -> worker   one request line over a pipe:
@@ -12,26 +18,27 @@
 //     coordinate — bit-exact, no decimal round trip — and <cseed> is
 //     candidate_seed(context, point), computed by the coordinator so
 //     workers never need the evaluation context.
-//   worker -> coordinator   one run-store JSONL trial line (the PR 6 wire
-//     format, RunStore::to_json/parse_line): kind "trial", seed = cseed,
+//   worker -> coordinator   one run-store JSONL trial line
+//     (RunStore::to_json/parse_line): kind "trial", seed = cseed,
 //     trial = index, objective = the utility, status = the attempt's
 //     outcome class.  Closing the request pipe is the shutdown signal.
 //
 // Determinism contract: a candidate's RNG stream derives purely from its
 // cseed, utilities cross the pipe bit-exactly, and retry/chaos decisions
 // are pure functions of (cseed, attempt) — so the search result is
-// bit-identical for every worker count, including zero (in-process).
+// bit-identical in both modes and for every worker count, including zero
+// (in-process).
 //
-// Failure semantics reuse the PR 6 classifier: a worker that dies
-// mid-evaluation (SIGKILL, abort, protocol desync) yields a failed_crash
-// attempt and a respawned worker; one that outlives the trial deadline is
-// SIGKILLed and yields failed_timeout; a reported non-finite objective is
-// failed_nan.  Failed attempts are re-dispatched with deterministic
-// backoff until ResilienceConfig::max_retries, then quarantined, exactly
-// like the in-process and crash-isolation paths.  A spawn watchdog
+// Failure semantics: a worker that dies mid-evaluation (SIGKILL, abort,
+// protocol desync) yields a failed_crash attempt; one that outlives the
+// trial deadline is SIGKILLed and yields failed_timeout; a reported
+// non-finite objective is failed_nan.  Failed attempts are re-dispatched
+// with deterministic backoff until ResilienceConfig::max_retries, then
+// quarantined, exactly like the in-process path.  A spawn watchdog
 // degrades the pool to in-process evaluation after repeated fork/pipe
 // failures.
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,28 +49,24 @@
 
 namespace bayesft::core {
 
-/// A pool of persistent forked worker processes evaluating self-contained
-/// candidates.  Created lazily by the EvaluationEngine on the first
-/// distributed evaluate_points call and kept for the engine's lifetime, so
-/// one search forks its workers once, not once per batch.
-///
-/// The evaluator is bound when the pool spawns (workers inherit it through
-/// fork), so every later evaluate() must pass candidates the same
-/// evaluator would score — true for the self-contained searches
-/// (arch_search), whose evaluator closure is fixed for the whole run.
+/// A pool of forked worker processes evaluating self-contained candidates.
+/// Created lazily by the EvaluationEngine on its first out-of-process
+/// evaluate_points call and kept for the engine's lifetime, so a
+/// persistent pool forks its workers once per search, not once per batch.
 class WorkerPool {
 public:
     struct Config {
-        /// Worker processes to fork (>= 1; the engine maps its
-        /// `workers == 0` in-process default before constructing a pool).
+        /// Worker slots (>= 1): EngineConfig::workers, or the engine's
+        /// evaluation width when isolating.
         std::size_t workers = 1;
+        /// `isolate` selects one-shot workers; the rest is the timeout,
+        /// retry, and backoff policy shared with the in-process path.
         ResilienceConfig resilience;
         fault::ChaosSpec chaos;
     };
 
-    /// Forks the workers.  A failed spawn is not fatal here: evaluate()
-    /// respawns on demand and the watchdog degrades the pool instead.
-    WorkerPool(Config config, PointEvaluator evaluator);
+    /// Forks nothing: evaluate() forks workers on demand.
+    explicit WorkerPool(Config config);
     /// Shuts the pool down: closes the request pipes (workers exit on
     /// EOF), SIGKILLs stragglers after a short grace, and reaps them all.
     ~WorkerPool();
@@ -78,11 +81,16 @@ public:
 
     /// Evaluates points[j] for every j in `live`, filling
     /// outcome.utilities / outcome.statuses at those indices (identical
-    /// classification and retry semantics to the in-process path).  Jobs
-    /// stranded by a mid-batch watchdog trip are finished in-process with
-    /// their remaining retry budget, so the outcome is always complete.
+    /// classification and retry semantics to the in-process path).  A
+    /// worker runs the evaluator of the call that forked it: a one-shot
+    /// worker always this call's, a persistent worker the one it was
+    /// forked with, so a persistent pool needs an evaluator that is stable
+    /// across calls (self-contained searches have one).  Jobs stranded by
+    /// a mid-batch watchdog trip are finished in-process with their
+    /// remaining retry budget, so the outcome is always complete.
     void evaluate(const std::vector<Alpha>& points,
                   const std::vector<std::size_t>& live,
+                  const PointEvaluator& evaluator,
                   const EvalContext& context, BatchOutcome& outcome);
 
 private:
@@ -95,16 +103,15 @@ private:
         std::size_t job_index = 0;
         std::uint64_t job_attempt = 0;
         bool has_deadline = false;
-        std::int64_t deadline_ns = 0;  ///< steady-clock epoch nanoseconds
+        std::chrono::steady_clock::time_point deadline;
     };
 
-    /// Spawns one worker into `slot`; false on a (real or chaos-injected)
-    /// spawn failure, which feeds the watchdog.
-    bool spawn_worker(std::size_t slot);
+    /// Forks one worker running `evaluator` into `slot`; false on a (real
+    /// or chaos-injected) spawn failure, which feeds the watchdog.
+    bool spawn_worker(std::size_t slot, const PointEvaluator& evaluator);
     void shutdown_worker(Worker& worker, bool kill);
 
     Config config_;
-    PointEvaluator evaluator_;
     std::vector<Worker> workers_;
     /// Per-slot spawn counter: keys the chaos spawn-failure stream so an
     /// injected failure is a deterministic property of (slot, respawn).

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -12,17 +11,7 @@
 #include "core/attempt.hpp"
 #include "core/distrib.hpp"
 #include "core/persist.hpp"
-#include "core/runstore.hpp"
-#include "utils/logging.hpp"
 #include "utils/parallel.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#define BAYESFT_HAS_FORK 1
-#endif
 
 namespace bayesft::core {
 
@@ -43,9 +32,6 @@ std::uint64_t fnv1a_bytes(std::uint64_t seed, const unsigned char* bytes,
 
 // --- fault-tolerant trial execution (docs/robustness.md) -------------------
 
-/// Consecutive child-spawn failures before the watchdog disables isolation.
-constexpr std::size_t kSpawnFailureLimit = 3;
-
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 double elapsed_seconds(std::chrono::steady_clock::time_point start) {
@@ -57,8 +43,8 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 // --- shared attempt/retry policy (core/attempt.hpp) ------------------------
-// Used by all three evaluation paths: in-process here, the crash-isolated
-// children below, and the distributed worker pool (core/distrib.cpp).
+// Used by both evaluation paths: in-process here and the out-of-process
+// worker pool behind --isolate and --workers (core/distrib.cpp).
 
 std::chrono::microseconds backoff_duration(const ResilienceConfig& resilience,
                                            std::uint64_t candidate_seed,
@@ -175,19 +161,28 @@ EvaluationEngine::EvaluationEngine(EngineConfig config) : config_(config) {}
 
 EvaluationEngine::~EvaluationEngine() = default;
 
-BatchOutcome EvaluationEngine::evaluate_batch(
-    models::ModelHandle& model, const std::vector<Alpha>& alphas,
-    const CandidateEvaluator& evaluator, Rng& rng, const EvalContext& context,
-    bool adopt_winner) {
-    if (alphas.empty()) {
-        throw std::invalid_argument(
-            "EvaluationEngine::evaluate_batch: empty batch");
-    }
-    if (!evaluator) {
-        throw std::invalid_argument(
-            "EvaluationEngine::evaluate_batch: no evaluator");
-    }
-    const std::size_t q = alphas.size();
+std::size_t EvaluationEngine::evaluation_width() const {
+    const std::size_t threads =
+        config_.threads == 0 ? parallel_thread_count() : config_.threads;
+    return std::max<std::size_t>(threads, 1);
+}
+
+void EvaluationEngine::for_each_live(
+    const std::vector<std::size_t>& live,
+    const std::function<void(std::size_t)>& evaluate) const {
+    const std::size_t threads = std::min(evaluation_width(), live.size());
+    const std::size_t grain = (live.size() + threads - 1) / threads;
+    parallel_for(0, live.size(), grain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) evaluate(live[i]);
+    });
+}
+
+BatchOutcome EvaluationEngine::evaluate_distinct(
+    const std::vector<Alpha>& points, const EvalContext& context,
+    std::vector<std::size_t>& owner,
+    const std::function<void(const std::vector<std::size_t>&,
+                             BatchOutcome&)>& run) {
+    const std::size_t q = points.size();
     if (config_.cache &&
         (!has_active_context_ || active_context_ != context.key ||
          active_stamp_ != context.stamp)) {
@@ -200,7 +195,74 @@ BatchOutcome EvaluationEngine::evaluate_batch(
     outcome.utilities.assign(q, 0.0);
     outcome.statuses.assign(q, TrialStatus::kOk);
 
-    if (q == 1) {
+    // Within-batch dedup: candidate j with an identical earlier point
+    // reuses that candidate's result (identical RNG stream => identical
+    // utility); the first occurrence is served from the memo or runs live.
+    owner.resize(q);
+    std::vector<std::size_t> live;
+    live.reserve(q);
+    for (std::size_t j = 0; j < q; ++j) {
+        owner[j] = static_cast<std::size_t>(
+            std::find(points.begin(), points.begin() + j, points[j]) -
+            points.begin());
+        if (owner[j] != j) continue;
+        if (config_.cache) {
+            const auto it =
+                cache_.find(CacheKey{context.key, context.stamp, points[j]});
+            if (it != cache_.end()) {
+                outcome.utilities[j] = it->second;
+                ++outcome.cache_hits;
+                continue;
+            }
+        }
+        live.push_back(j);
+    }
+    if (!live.empty()) run(live, outcome);
+
+    for (std::size_t j = 0; j < q; ++j) {
+        if (owner[j] == j) continue;
+        outcome.utilities[j] = outcome.utilities[owner[j]];
+        outcome.statuses[j] = outcome.statuses[owner[j]];
+        ++outcome.cache_hits;  // duplicate proposals are free
+    }
+    if (config_.cache) {
+        // Failures are never memoized: a crash or an injected fault is a
+        // property of one attempt, not of the candidate point.
+        for (const std::size_t j : live) {
+            if (outcome.statuses[j] != TrialStatus::kOk) continue;
+            cache_.emplace(CacheKey{context.key, context.stamp, points[j]},
+                           outcome.utilities[j]);
+        }
+    }
+    total_hits_ += outcome.cache_hits;
+
+    outcome.best_index = 0;
+    bool found_ok = false;
+    for (std::size_t j = 0; j < q; ++j) {
+        if (outcome.statuses[j] != TrialStatus::kOk) continue;
+        if (!found_ok ||
+            outcome.utilities[j] > outcome.utilities[outcome.best_index]) {
+            outcome.best_index = j;
+            found_ok = true;
+        }
+    }
+    return outcome;
+}
+
+BatchOutcome EvaluationEngine::evaluate_batch(
+    models::ModelHandle& model, const std::vector<Alpha>& alphas,
+    const CandidateEvaluator& evaluator, Rng& rng, const EvalContext& context,
+    bool adopt_winner) {
+    if (alphas.empty()) {
+        throw std::invalid_argument(
+            "EvaluationEngine::evaluate_batch: empty batch");
+    }
+    if (!evaluator) {
+        throw std::invalid_argument(
+            "EvaluationEngine::evaluate_batch: no evaluator");
+    }
+
+    if (alphas.size() == 1) {
         // Serial-identical path: in-place training on the caller's model
         // with the caller's RNG.  Never cached — a hit would skip the
         // training step the serial loop performs.  The evaluator may have
@@ -241,50 +303,20 @@ BatchOutcome EvaluationEngine::evaluate_batch(
             if (attempt >= resilience.max_retries) break;
             backoff_sleep(resilience, cseed, attempt);
         }
-        outcome.utilities[0] = result.utility;
-        outcome.statuses[0] = result.status;
         cache_.clear();
         has_active_context_ = false;
+        BatchOutcome outcome;
+        outcome.utilities = {result.utility};
+        outcome.statuses = {result.status};
         return outcome;
     }
 
-    // Within-batch dedup: candidate j with an identical earlier alpha reuses
-    // that candidate's result (identical RNG stream => identical utility).
-    std::vector<std::size_t> owner(q);
-    for (std::size_t j = 0; j < q; ++j) {
-        owner[j] = j;
-        for (std::size_t i = 0; i < j; ++i) {
-            if (alphas[i] == alphas[j]) {
-                owner[j] = i;
-                break;
-            }
-        }
-    }
-
-    std::vector<char> memoized(q, 0);
-    std::vector<std::size_t> live;
-    live.reserve(q);
-    for (std::size_t j = 0; j < q; ++j) {
-        if (owner[j] != j) continue;
-        if (config_.cache) {
-            const auto it =
-                cache_.find(CacheKey{context.key, context.stamp, alphas[j]});
-            if (it != cache_.end()) {
-                outcome.utilities[j] = it->second;
-                memoized[j] = 1;
-                ++outcome.cache_hits;
-                continue;
-            }
-        }
-        live.push_back(j);
-    }
-
-    std::vector<models::ModelHandle> replicas(q);
-    auto evaluate_candidate = [&](std::size_t j) {
+    // Each attempt clones a fresh replica off the (unchanged) base model
+    // and replays the identical candidate stream, so a retried success is
+    // bit-identical to a first-try success.
+    std::vector<models::ModelHandle> replicas(alphas.size());
+    auto train_replica = [&](std::size_t j) {
         const std::uint64_t cseed = candidate_seed(context, alphas[j]);
-        // Each attempt clones a fresh replica off the (unchanged) base
-        // model and replays the identical candidate stream, so a retried
-        // success is bit-identical to a first-try success.
         models::ModelHandle trained;
         const AttemptResult result = evaluate_with_retries(
             config_.chaos, config_.resilience, cseed, 0, [&] {
@@ -296,60 +328,30 @@ BatchOutcome EvaluationEngine::evaluate_batch(
                 trained = std::move(replica);
                 return utility;
             });
-        outcome.utilities[j] = result.utility;
-        outcome.statuses[j] = result.status;
         if (result.status == TrialStatus::kOk) {
             replicas[j] = std::move(trained);
         }
+        return result;
     };
-    if (!live.empty()) {
-        std::size_t threads =
-            config_.threads == 0 ? parallel_thread_count() : config_.threads;
-        threads = std::min(std::max<std::size_t>(threads, 1), live.size());
-        const std::size_t grain = (live.size() + threads - 1) / threads;
-        parallel_for(0, live.size(), grain,
-                     [&](std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i) {
-                             evaluate_candidate(live[i]);
-                         }
-                     });
-    }
+    std::vector<std::size_t> owner;
+    BatchOutcome outcome = evaluate_distinct(
+        alphas, context, owner,
+        [&](const std::vector<std::size_t>& live, BatchOutcome& out) {
+            for_each_live(live, [&](std::size_t j) {
+                const AttemptResult result = train_replica(j);
+                out.utilities[j] = result.utility;
+                out.statuses[j] = result.status;
+            });
+        });
 
-    for (std::size_t j = 0; j < q; ++j) {
-        if (owner[j] == j) continue;
-        outcome.utilities[j] = outcome.utilities[owner[j]];
-        outcome.statuses[j] = outcome.statuses[owner[j]];
-        ++outcome.cache_hits;  // duplicate proposals are free
-    }
-    if (config_.cache) {
-        // Failures are never memoized: a crash or an injected fault is a
-        // property of one attempt, not of the candidate point.
-        for (const std::size_t j : live) {
-            if (outcome.statuses[j] != TrialStatus::kOk) continue;
-            cache_.emplace(CacheKey{context.key, context.stamp, alphas[j]},
-                           outcome.utilities[j]);
-        }
-    }
-    total_hits_ += outcome.cache_hits;
-
-    outcome.best_index = 0;
-    bool found_ok = false;
-    for (std::size_t j = 0; j < q; ++j) {
-        if (outcome.statuses[j] != TrialStatus::kOk) continue;
-        if (!found_ok ||
-            outcome.utilities[j] > outcome.utilities[outcome.best_index]) {
-            outcome.best_index = j;
-            found_ok = true;
-        }
-    }
-
-    if (adopt_winner && found_ok) {
+    // A fully failed batch adopts nothing: the model is exactly the state
+    // before the batch, so the quarantined group leaves no trace in theta.
+    if (adopt_winner &&
+        outcome.statuses[outcome.best_index] == TrialStatus::kOk) {
         const std::size_t source = owner[outcome.best_index];
-        if (!replicas[source].net && memoized[source]) {
-            // Cross-call cache hit won without a live replica: re-run it to
-            // materialize the trained weights (same stream => same result).
-            evaluate_candidate(source);
-        }
+        // A memo hit won without a live replica: re-run it to materialize
+        // the trained weights (same stream => same result).
+        if (!replicas[source].net) train_replica(source);
         if (replicas[source].net) {
             model.net = std::move(replicas[source].net);
             model.dropout_sites = std::move(replicas[source].dropout_sites);
@@ -359,10 +361,7 @@ BatchOutcome EvaluationEngine::evaluate_batch(
         cache_.clear();
         has_active_context_ = false;
     }
-    // A fully failed batch adopts nothing: the model is exactly the state
-    // before the batch, so the quarantined group leaves no trace in theta.
-    (void)rng;  // q > 1 never advances the caller's generator
-    return outcome;
+    return outcome;  // q > 1 never advances the caller's generator
 }
 
 std::vector<std::pair<Alpha, double>> EvaluationEngine::export_cache() const {
@@ -390,6 +389,24 @@ void EvaluationEngine::import_cache(
     }
 }
 
+bool EvaluationEngine::use_pool() {
+    if (!config_.resilience.isolate && config_.workers == 0) return false;
+    if (!pool_) {
+        WorkerPool::Config pool_config;
+        // One-shot workers run as wide as the in-process path would.
+        pool_config.workers = config_.resilience.isolate ? evaluation_width()
+                                                         : config_.workers;
+        pool_config.resilience = config_.resilience;
+        pool_config.chaos = config_.chaos;
+        pool_ = std::make_unique<WorkerPool>(pool_config);
+    }
+    return !pool_->degraded();
+}
+
+bool EvaluationEngine::pool_degraded() const {
+    return pool_ != nullptr && pool_->degraded();
+}
+
 BatchOutcome EvaluationEngine::evaluate_points(
     const std::vector<Alpha>& points, const PointEvaluator& evaluator,
     const EvalContext& context) {
@@ -401,379 +418,30 @@ BatchOutcome EvaluationEngine::evaluate_points(
         throw std::invalid_argument(
             "EvaluationEngine::evaluate_points: no evaluator");
     }
-    const std::size_t q = points.size();
-    if (config_.cache &&
-        (!has_active_context_ || active_context_ != context.key ||
-         active_stamp_ != context.stamp)) {
-        cache_.clear();
-        active_context_ = context.key;
-        active_stamp_ = context.stamp;
-        has_active_context_ = true;
-    }
-    BatchOutcome outcome;
-    outcome.utilities.assign(q, 0.0);
-    outcome.statuses.assign(q, TrialStatus::kOk);
-
-    // Within-batch dedup + cross-call memo hits, exactly as evaluate_batch;
-    // unlike the model path there is no q == 1 special case, because every
+    // Unlike the model path there is no q == 1 special case: every
     // candidate runs on its own derived RNG stream regardless of batch size.
-    std::vector<std::size_t> owner(q);
-    for (std::size_t j = 0; j < q; ++j) {
-        owner[j] = j;
-        for (std::size_t i = 0; i < j; ++i) {
-            if (points[i] == points[j]) {
-                owner[j] = i;
-                break;
+    std::vector<std::size_t> owner;
+    return evaluate_distinct(
+        points, context, owner,
+        [&](const std::vector<std::size_t>& live, BatchOutcome& outcome) {
+            // Out of process (docs/distributed.md): one-shot or persistent
+            // workers.  A pool whose watchdog tripped still completed the
+            // batch it tripped in; later batches run in-process.
+            if (use_pool()) {
+                pool_->evaluate(points, live, evaluator, context, outcome);
+                return;
             }
-        }
-    }
-    std::vector<std::size_t> live;
-    live.reserve(q);
-    for (std::size_t j = 0; j < q; ++j) {
-        if (owner[j] != j) continue;
-        if (config_.cache) {
-            const auto it =
-                cache_.find(CacheKey{context.key, context.stamp, points[j]});
-            if (it != cache_.end()) {
-                outcome.utilities[j] = it->second;
-                ++outcome.cache_hits;
-                continue;
-            }
-        }
-        live.push_back(j);
-    }
-
-    bool isolated = false;
-#ifdef BAYESFT_HAS_FORK
-    if (config_.resilience.isolate && !isolation_disabled_ &&
-        !live.empty()) {
-        evaluate_points_isolated(points, evaluator, context, live, outcome);
-        isolated = true;
-    } else if (config_.workers > 0 && !distribution_disabled_ &&
-               !live.empty()) {
-        // Distributed evaluation (docs/distributed.md): the pool forks
-        // once and persists across batches; it binds this call's
-        // evaluator, so callers must keep the evaluator stable for the
-        // engine's lifetime (self-contained searches do).
-        if (!pool_) {
-            WorkerPool::Config pool_config;
-            pool_config.workers = config_.workers;
-            pool_config.resilience = config_.resilience;
-            pool_config.chaos = config_.chaos;
-            pool_ = std::make_unique<WorkerPool>(pool_config, evaluator);
-        }
-        if (pool_->degraded()) {
-            distribution_disabled_ = true;
-        } else {
-            pool_->evaluate(points, live, context, outcome);
-            isolated = true;
-            // A mid-batch watchdog trip still completed this batch (the
-            // pool finishes stranded jobs in-process); later batches skip
-            // the pool entirely.
-            if (pool_->degraded()) distribution_disabled_ = true;
-        }
-    }
-#endif
-    if (!isolated && !live.empty()) {
-        auto evaluate_candidate = [&](std::size_t j) {
-            const std::uint64_t cseed = candidate_seed(context, points[j]);
-            const AttemptResult result = evaluate_with_retries(
-                config_.chaos, config_.resilience, cseed, 0, [&] {
-                    Rng rng(cseed);
-                    return evaluator(points[j], rng);
-                });
-            outcome.utilities[j] = result.utility;
-            outcome.statuses[j] = result.status;
-        };
-        std::size_t threads =
-            config_.threads == 0 ? parallel_thread_count() : config_.threads;
-        threads = std::min(std::max<std::size_t>(threads, 1), live.size());
-        const std::size_t grain = (live.size() + threads - 1) / threads;
-        parallel_for(0, live.size(), grain,
-                     [&](std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i) {
-                             evaluate_candidate(live[i]);
-                         }
-                     });
-    }
-
-    for (std::size_t j = 0; j < q; ++j) {
-        if (owner[j] == j) continue;
-        outcome.utilities[j] = outcome.utilities[owner[j]];
-        outcome.statuses[j] = outcome.statuses[owner[j]];
-        ++outcome.cache_hits;
-    }
-    if (config_.cache) {
-        // Failures are never memoized (see evaluate_batch).
-        for (const std::size_t j : live) {
-            if (outcome.statuses[j] != TrialStatus::kOk) continue;
-            cache_.emplace(CacheKey{context.key, context.stamp, points[j]},
-                           outcome.utilities[j]);
-        }
-    }
-    total_hits_ += outcome.cache_hits;
-
-    outcome.best_index = 0;
-    bool found_ok = false;
-    for (std::size_t j = 0; j < q; ++j) {
-        if (outcome.statuses[j] != TrialStatus::kOk) continue;
-        if (!found_ok ||
-            outcome.utilities[j] > outcome.utilities[outcome.best_index]) {
-            outcome.best_index = j;
-            found_ok = true;
-        }
-    }
-    return outcome;
-}
-
-#ifdef BAYESFT_HAS_FORK
-
-void EvaluationEngine::evaluate_points_isolated(
-    const std::vector<Alpha>& points, const PointEvaluator& evaluator,
-    const EvalContext& context, const std::vector<std::size_t>& live,
-    BatchOutcome& outcome) {
-    using Clock = std::chrono::steady_clock;
-    const ResilienceConfig& resilience = config_.resilience;
-    const fault::ChaosSpec& chaos = config_.chaos;
-
-    // One attempt of one candidate, scheduled not before a deterministic
-    // backoff delay when it is a retry.
-    struct Job {
-        std::size_t index = 0;
-        std::uint64_t attempt = 0;
-        Clock::time_point not_before;
-    };
-    struct Child {
-        pid_t pid = -1;
-        int fd = -1;
-        std::string buffer;
-        bool has_deadline = false;
-        Clock::time_point deadline;
-        Job job;
-    };
-
-    std::deque<Job> queue;
-    const Clock::time_point start = Clock::now();
-    for (const std::size_t j : live) queue.push_back({j, 0, start});
-    std::vector<Child> running;
-
-    std::size_t width =
-        config_.threads == 0 ? parallel_thread_count() : config_.threads;
-    width = std::min(std::max<std::size_t>(width, 1), live.size());
-
-    // Watchdog fallback: one candidate evaluated in-process, with the
-    // remaining retry budget, when its child could not be spawned.
-    auto run_in_process = [&](const Job& job) {
-        const std::uint64_t cseed = candidate_seed(context, points[job.index]);
-        const AttemptResult result = evaluate_with_retries(
-            chaos, resilience, cseed, job.attempt, [&] {
-                Rng rng(cseed);
-                return evaluator(points[job.index], rng);
+            for_each_live(live, [&](std::size_t j) {
+                const std::uint64_t cseed = candidate_seed(context, points[j]);
+                const AttemptResult result = evaluate_with_retries(
+                    config_.chaos, config_.resilience, cseed, 0, [&] {
+                        Rng rng(cseed);
+                        return evaluator(points[j], rng);
+                    });
+                outcome.utilities[j] = result.utility;
+                outcome.statuses[j] = result.status;
             });
-        outcome.utilities[job.index] = result.utility;
-        outcome.statuses[job.index] = result.status;
-    };
-
-    auto finalize = [&](const Job& job, TrialStatus status, double utility) {
-        if (status != TrialStatus::kOk &&
-            job.attempt < resilience.max_retries) {
-            const std::uint64_t cseed =
-                candidate_seed(context, points[job.index]);
-            queue.push_back(
-                {job.index, job.attempt + 1,
-                 Clock::now() +
-                     backoff_duration(resilience, cseed, job.attempt)});
-            return;
-        }
-        outcome.utilities[job.index] = utility;
-        outcome.statuses[job.index] = status;
-    };
-
-    while (!queue.empty() || !running.empty()) {
-        // Launch children up to the width, skipping retry jobs whose
-        // backoff has not elapsed yet.
-        for (auto it = queue.begin();
-             it != queue.end() && running.size() < width;) {
-            if (it->not_before > Clock::now()) {
-                ++it;
-                continue;
-            }
-            const Job job = *it;
-            it = queue.erase(it);
-            if (isolation_disabled_) {
-                // The watchdog already tripped (possibly mid-batch):
-                // everything still queued runs in-process.
-                run_in_process(job);
-                continue;
-            }
-            const std::uint64_t cseed =
-                candidate_seed(context, points[job.index]);
-
-            bool spawn_failed =
-                fault::chaos_spawn_failure(chaos, cseed, job.attempt);
-            int fds[2] = {-1, -1};
-            if (!spawn_failed && ::pipe(fds) != 0) spawn_failed = true;
-            pid_t pid = -1;
-            if (!spawn_failed) {
-                pid = ::fork();
-                if (pid < 0) {
-                    spawn_failed = true;
-                    ::close(fds[0]);
-                    ::close(fds[1]);
-                }
-            }
-            if (spawn_failed) {
-                if (++spawn_failures_ >= kSpawnFailureLimit &&
-                    !isolation_disabled_) {
-                    isolation_disabled_ = true;
-                    log_warn() << "engine: " << spawn_failures_
-                               << " consecutive child-spawn failures; "
-                                  "degrading to in-process evaluation for "
-                                  "the rest of the run";
-                }
-                run_in_process(job);
-                continue;
-            }
-            spawn_failures_ = 0;
-
-            if (pid == 0) {
-                // --- child: evaluate one candidate, report one run-store
-                // trial line over the pipe, and _exit without touching the
-                // parent's buffered state.  An injected crash aborts (the
-                // signal IS the test); an injected hang sleeps until the
-                // parent's SIGKILL deadline fires.
-                ::close(fds[0]);
-                const fault::ChaosAction action =
-                    fault::chaos_decide(chaos, cseed, job.attempt);
-                if (action == fault::ChaosAction::kCrash) std::abort();
-                if (action == fault::ChaosAction::kHang &&
-                    resilience.timeout_seconds > 0.0) {
-                    std::this_thread::sleep_for(std::chrono::hours(1));
-                    ::_exit(4);
-                }
-                double utility = kNaN;
-                try {
-                    Rng rng(cseed);
-                    utility = evaluator(points[job.index], rng);
-                } catch (const std::exception&) {
-                    ::_exit(3);
-                }
-                if (action == fault::ChaosAction::kNaN) utility = kNaN;
-                RunRecord record;
-                record.kind = "trial";
-                record.scenario = "isolated-eval";
-                record.family = "engine";
-                record.seed = cseed;
-                record.trial = job.index;
-                record.point = "-";
-                record.objective = utility;
-                const std::string line = RunStore::to_json(record) + "\n";
-                const char* data = line.data();
-                std::size_t left = line.size();
-                while (left > 0) {
-                    const ssize_t wrote = ::write(fds[1], data, left);
-                    if (wrote <= 0) ::_exit(5);
-                    data += wrote;
-                    left -= static_cast<std::size_t>(wrote);
-                }
-                ::_exit(0);
-            }
-
-            // --- parent
-            ::close(fds[1]);
-            ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-            Child child;
-            child.pid = pid;
-            child.fd = fds[0];
-            child.job = job;
-            child.has_deadline = resilience.timeout_seconds > 0.0;
-            if (child.has_deadline) {
-                child.deadline =
-                    Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(
-                                           resilience.timeout_seconds));
-            }
-            running.push_back(std::move(child));
-        }
-
-        // Poll the running children: drain their pipes, reap exits,
-        // enforce deadlines.
-        bool progressed = false;
-        for (auto it = running.begin(); it != running.end();) {
-            Child& child = *it;
-            char buf[512];
-            ssize_t got = 0;
-            while ((got = ::read(child.fd, buf, sizeof buf)) > 0) {
-                child.buffer.append(buf, static_cast<std::size_t>(got));
-            }
-            int wait_status = 0;
-            const pid_t reaped = ::waitpid(child.pid, &wait_status, WNOHANG);
-            if (reaped == 0) {
-                if (child.has_deadline && Clock::now() > child.deadline) {
-                    // The only true preemption in the runtime: a wedged
-                    // evaluation cannot be cancelled in-process, but a
-                    // child is simply killed.
-                    ::kill(child.pid, SIGKILL);
-                    ::waitpid(child.pid, &wait_status, 0);
-                    ::close(child.fd);
-                    finalize(child.job, TrialStatus::kFailedTimeout, kNaN);
-                    it = running.erase(it);
-                    progressed = true;
-                } else {
-                    ++it;
-                }
-                continue;
-            }
-            while ((got = ::read(child.fd, buf, sizeof buf)) > 0) {
-                child.buffer.append(buf, static_cast<std::size_t>(got));
-            }
-            ::close(child.fd);
-            // Classify: a clean exit with a complete, matching trial line
-            // is the only success; anything else — signal, nonzero exit,
-            // torn or missing line — is a crash, and a transmitted
-            // non-finite objective is a NaN failure.
-            TrialStatus status = TrialStatus::kFailedCrash;
-            double utility = kNaN;
-            if (WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == 0) {
-                const std::size_t newline = child.buffer.find('\n');
-                if (newline != std::string::npos) {
-                    RunRecord record;
-                    if (RunStore::parse_line(child.buffer.substr(0, newline),
-                                             record) &&
-                        record.kind == "trial" &&
-                        record.trial == child.job.index) {
-                        utility = record.objective;
-                        status = std::isfinite(utility)
-                                     ? TrialStatus::kOk
-                                     : TrialStatus::kFailedNaN;
-                    }
-                }
-            }
-            finalize(child.job, status, utility);
-            it = running.erase(it);
-            progressed = true;
-        }
-
-        if (!progressed && (!running.empty() || !queue.empty())) {
-            std::this_thread::sleep_for(std::chrono::microseconds(500));
-        }
-    }
+        });
 }
-
-#else  // !BAYESFT_HAS_FORK
-
-void EvaluationEngine::evaluate_points_isolated(
-    const std::vector<Alpha>& points, const PointEvaluator& evaluator,
-    const EvalContext& context, const std::vector<std::size_t>& live,
-    BatchOutcome& outcome) {
-    // Unreachable: the caller only dispatches here under BAYESFT_HAS_FORK.
-    (void)points;
-    (void)evaluator;
-    (void)context;
-    (void)live;
-    (void)outcome;
-}
-
-#endif  // BAYESFT_HAS_FORK
 
 }  // namespace bayesft::core

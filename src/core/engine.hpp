@@ -19,6 +19,12 @@
 // duplicate proposals free; the context key should digest everything else
 // the utility depends on (seed nonce, drift sigma set, MC sample count) and
 // the stamp must be bumped whenever the underlying model weights change.
+//
+// Self-contained point evaluations (evaluate_points) can also run out of
+// process, on the one executor in core/distrib.hpp: a WorkerPool of
+// one-shot workers under ResilienceConfig::isolate, or of persistent
+// workers under EngineConfig::workers.  Either way the outcome is
+// bit-identical to in-process evaluation.
 
 #include <cstdint>
 #include <functional>
@@ -84,11 +90,10 @@ struct EngineConfig {
     /// in-process (the default); >= 1 always exercises the worker path,
     /// so `workers = 1` already proves the pipe protocol.  Like `threads`
     /// this is result-invariant — the search outcome is bit-identical for
-    /// every worker count.  Only evaluate_points supports it (the
-    /// evaluator must be stable across calls and candidates must be
-    /// self-contained); evaluate_batch ignores it.  Deliberately last: the
-    /// existing aggregate initializations {threads, cache, ...} must keep
-    /// their meaning.
+    /// every worker count.  Only evaluate_points supports it (a persistent
+    /// worker keeps the evaluator it was forked with, so the evaluator
+    /// must be stable across calls, and candidates must be
+    /// self-contained); evaluate_batch ignores it.
     std::size_t workers = 0;
 };
 
@@ -182,28 +187,36 @@ public:
     /// outside the engine).
     void clear_cache() { cache_.clear(); }
 
-    /// True once the spawn watchdog tripped: repeated child-spawn failures
-    /// permanently degraded this engine back to in-process evaluation
-    /// (ResilienceConfig::isolate is ignored from then on).
-    bool isolation_degraded() const { return isolation_disabled_; }
-
-    /// True once the worker pool's spawn watchdog tripped: repeated
-    /// worker-spawn failures permanently degraded this engine back to
-    /// in-process evaluation (EngineConfig::workers is ignored from then
-    /// on).  Results are unchanged either way.
-    bool distribution_degraded() const { return distribution_disabled_; }
+    /// True once the worker pool behind `resilience.isolate` / `workers`
+    /// tripped its spawn watchdog: repeated worker-spawn failures
+    /// permanently degraded this engine back to in-process evaluation.
+    /// Results are unchanged either way.
+    bool pool_degraded() const;
 
 private:
-    /// Forked-child evaluation of the `live` candidate indices (the
-    /// crash-isolation path of evaluate_points): one child per attempt,
-    /// results over a pipe in the run-store JSONL wire format, SIGKILL at
-    /// the trial deadline, deterministic retry backoff, and the spawn
-    /// watchdog that falls back to in-process evaluation.
-    void evaluate_points_isolated(const std::vector<Alpha>& points,
-                                  const PointEvaluator& evaluator,
-                                  const EvalContext& context,
-                                  const std::vector<std::size_t>& live,
-                                  BatchOutcome& outcome);
+    /// The evaluation width: `threads`, else the thread-pool width.
+    std::size_t evaluation_width() const;
+    /// Runs `evaluate(j)` for every j in `live` (non-empty), at most
+    /// evaluation_width() at a time on the thread pool.
+    void for_each_live(const std::vector<std::size_t>& live,
+                       const std::function<void(std::size_t)>& evaluate)
+        const;
+    /// The pass evaluate_batch (q > 1) and evaluate_points share: resets
+    /// the memo on a context switch, maps each within-batch duplicate to
+    /// its first occurrence (`owner`), serves memo hits, hands the rest to
+    /// `run` (which fills their utilities and statuses), then copies
+    /// results to the duplicates, memoizes the successes, and picks the
+    /// argmax.
+    BatchOutcome evaluate_distinct(
+        const std::vector<Alpha>& points, const EvalContext& context,
+        std::vector<std::size_t>& owner,
+        const std::function<void(const std::vector<std::size_t>& live,
+                                 BatchOutcome& outcome)>& run);
+    /// True when evaluate_points should go to the worker pool (isolating
+    /// or distributing, and the pool not degraded); creates the pool on
+    /// first use.
+    bool use_pool();
+
     struct CacheKey {
         std::uint64_t context = 0;
         std::uint64_t stamp = 0;
@@ -226,17 +239,10 @@ private:
     std::uint64_t active_context_ = 0;
     std::uint64_t active_stamp_ = 0;
     bool has_active_context_ = false;
-    // Spawn watchdog (docs/robustness.md): consecutive fork/pipe failures;
-    // at the threshold, isolation is disabled for the rest of the run.
-    std::size_t spawn_failures_ = 0;
-    bool isolation_disabled_ = false;
-    // Distributed evaluation (docs/distributed.md): the pool of persistent
-    // forked workers, created lazily on the first distributed
-    // evaluate_points call (binding that call's evaluator) and kept for
-    // the engine's lifetime; disabled for the rest of the run when the
-    // pool's spawn watchdog trips.
+    // Out-of-process evaluation (docs/distributed.md): the worker pool,
+    // created lazily on the first isolated or distributed evaluate_points
+    // call and kept for the engine's lifetime.
     std::unique_ptr<WorkerPool> pool_;
-    bool distribution_disabled_ = false;
 };
 
 }  // namespace bayesft::core

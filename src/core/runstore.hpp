@@ -78,8 +78,8 @@ public:
                 const std::vector<RunRecord>& records);
 
     /// Parses one record line (the unit parse_file applies per line, and
-    /// the wire format of the crash-isolation pipe protocol —
-    /// docs/robustness.md).  False when `line` is not a complete run-store
+    /// the response format of the worker pool's pipe protocol —
+    /// docs/distributed.md).  False when `line` is not a complete run-store
     /// record.
     static bool parse_line(const std::string& line, RunRecord& out);
 

@@ -45,15 +45,15 @@ enum class FailPolicy {
 /// retried attempt replays the same deterministic candidate stream, so —
 /// like the thread count — none of these fields enter scenario digests.
 struct ResilienceConfig {
-    /// Evaluate each self-contained candidate in a forked child process,
-    /// so a segfault/OOM in one candidate is a failed trial instead of a
-    /// dead search.  Only point evaluations (arch_search) support
-    /// isolation; evolving-weights searches fall back to in-process
-    /// fault handling.
+    /// Evaluate each self-contained candidate attempt in a one-shot
+    /// forked worker (core/distrib.hpp), so a segfault/OOM in one
+    /// candidate is a failed trial instead of a dead search.  Only point
+    /// evaluations (arch_search) support isolation; evolving-weights
+    /// searches fall back to in-process fault handling.
     bool isolate = false;
     /// Per-trial wall-clock budget in seconds; an attempt exceeding it is
-    /// recorded failed_timeout (isolated children are SIGKILLed at the
-    /// deadline).  0 disables the timeout.
+    /// recorded failed_timeout (out-of-process workers are SIGKILLed at
+    /// the deadline).  0 disables the timeout.
     double timeout_seconds = 0.0;
     /// Failed attempts are retried up to this many times before the trial
     /// is quarantined.

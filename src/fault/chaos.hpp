@@ -2,8 +2,9 @@
 // Chaos harness for the search runtime itself (docs/robustness.md): a
 // seeded, purely deterministic hook that injects crashes, hangs, NaN
 // objectives, and spawn failures into candidate evaluation, so the
-// fault-tolerant trial execution paths (timeout, retry, quarantine,
-// crash isolation, the spawn watchdog) can be torture-tested.
+// fault-tolerant trial execution paths (timeout, retry, quarantine, the
+// out-of-process worker pool and its spawn watchdog) can be
+// torture-tested.
 //
 // Every injection decision is a pure function of (spec seed, candidate
 // seed, attempt index) — never of the wall clock, thread schedule, or
@@ -19,7 +20,7 @@ namespace bayesft::fault {
 /// What the chaos hook does to one evaluation attempt.
 enum class ChaosAction {
     kNone = 0,   ///< evaluate normally
-    kCrash = 1,  ///< die (isolated child: abort(); in-process: failed trial)
+    kCrash = 1,  ///< the attempt fails, reported as failed_crash
     kHang = 2,   ///< block past the trial deadline
     kNaN = 3     ///< evaluate, then replace the objective with NaN
 };
@@ -29,14 +30,15 @@ struct ChaosSpec {
     double crash = 0.0;  ///< P(kCrash) per attempt
     double hang = 0.0;   ///< P(kHang) per attempt
     double nan = 0.0;    ///< P(kNaN) per attempt
-    /// P(simulated spawn failure) per isolated attempt, exercising the
-    /// watchdog that degrades isolation back to in-process evaluation.
+    /// P(simulated spawn failure) per worker spawn of the out-of-process
+    /// pool (drawn per (slot, respawn)), exercising the watchdog that
+    /// degrades the pool back to in-process evaluation.
     double spawn = 0.0;
-    /// P(the whole worker process aborts) per distributed attempt
-    /// (docs/distributed.md).  Unlike `crash` — which a persistent worker
-    /// survives and reports as a failed attempt — this kills the worker
-    /// itself, so the coordinator must detect the death, respawn the
-    /// worker, and re-dispatch the candidate.
+    /// P(the worker process aborts) per out-of-process attempt, under
+    /// `--isolate` and `--workers` alike (docs/distributed.md).  Unlike
+    /// `crash` — a failed attempt the worker reports — this kills the
+    /// worker itself, so the coordinator must detect the death, reap it,
+    /// and re-dispatch the candidate.
     double worker_crash = 0.0;
     /// Stream selector: two chaos runs with different seeds inject into
     /// different candidates.
@@ -62,13 +64,14 @@ struct ChaosSpec {
 ChaosAction chaos_decide(const ChaosSpec& spec, std::uint64_t candidate_seed,
                          std::uint64_t attempt);
 
-/// Whether to simulate a child-spawn failure for this isolated attempt
-/// (decided on an independent stream from chaos_decide, so spawn chaos
-/// composes with the others).
+/// Whether to simulate a worker-spawn failure.  The worker pool keys it
+/// by (slot tag, respawn count) in place of (candidate seed, attempt); it
+/// draws on an independent stream from chaos_decide, so spawn chaos
+/// composes with the others.
 bool chaos_spawn_failure(const ChaosSpec& spec, std::uint64_t candidate_seed,
                          std::uint64_t attempt);
 
-/// Whether a distributed worker aborts while evaluating this attempt
+/// Whether an out-of-process worker aborts while evaluating this attempt
 /// (stream 3, independent of the other injections).  Pure in
 /// (spec, candidate_seed, attempt): the same attempt kills its worker in
 /// every run at every worker count, which is what makes the

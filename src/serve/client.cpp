@@ -1,10 +1,11 @@
 #include "serve/client.hpp"
 
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "utils/signals.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <netinet/in.h>
@@ -22,18 +23,6 @@
 namespace bayesft::serve {
 
 #ifdef BAYESFT_HAS_SOCKETS
-
-namespace {
-
-void ignore_sigpipe_once() {
-    static const bool done = [] {
-        std::signal(SIGPIPE, SIG_IGN);
-        return true;
-    }();
-    (void)done;
-}
-
-}  // namespace
 
 ServeClient::~ServeClient() { close(); }
 

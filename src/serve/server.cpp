@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -19,6 +18,7 @@
 #include "core/runstore.hpp"
 #include "serve/protocol.hpp"
 #include "utils/logging.hpp"
+#include "utils/signals.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -54,16 +54,6 @@ bool read_counter(const std::string& line, const char* key,
 }
 
 #ifdef BAYESFT_HAS_SOCKETS
-
-/// A peer that vanishes mid-write must surface as an error return, not a
-/// process-killing SIGPIPE (same policy as the worker pipes).
-void ignore_sigpipe_once() {
-    static const bool done = [] {
-        std::signal(SIGPIPE, SIG_IGN);
-        return true;
-    }();
-    (void)done;
-}
 
 bool set_nonblocking(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);

@@ -11,11 +11,22 @@
 #include <thread>
 #include <vector>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <pthread.h>
+#endif
+
 namespace bayesft {
 
 namespace {
 
 thread_local bool tls_inside_worker = false;
+
+/// Set in a process forked while the pool existed.  The child inherits the
+/// pool's mutex and condition-variable state but none of its worker
+/// threads, so a parallel_for there could block forever on a lock a
+/// vanished worker held at fork time; the child runs every loop inline
+/// instead (thread count never changes results, see the header).
+bool forked_child = false;
 
 std::size_t configured_thread_count() {
     if (const char* env = std::getenv("BAYESFT_NUM_THREADS")) {
@@ -108,6 +119,9 @@ public:
 
 private:
     explicit ThreadPool(std::size_t width) {
+#if defined(__unix__) || defined(__APPLE__)
+        ::pthread_atfork(nullptr, nullptr, [] { forked_child = true; });
+#endif
         for (std::size_t i = 1; i < width; ++i) {
             workers_.emplace_back([this] { worker_loop(); });
         }
@@ -150,7 +164,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
     if (begin >= end) return;
     if (grain == 0) grain = 1;
     const std::size_t n = end - begin;
-    if (n <= grain || tls_inside_worker ||
+    if (n <= grain || tls_inside_worker || forked_child ||
         ThreadPool::instance().width() == 1) {
         fn(begin, end);
         return;

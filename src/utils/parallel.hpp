@@ -17,7 +17,9 @@
 // `BAYESFT_NUM_THREADS` environment variable overrides it (read once, at
 // first use).  Width 1 short-circuits to a plain serial loop.  Nested calls
 // from inside a pool worker also run serially, so kernels may freely use
-// parallel_for even when their caller is already parallel.
+// parallel_for even when their caller is already parallel.  So does every
+// call in a process forked after the pool started (an isolated or worker
+// evaluation): the child inherits the pool's locks but not its threads.
 
 #include <cstddef>
 #include <functional>
@@ -36,8 +38,8 @@ bool inside_parallel_worker();
 /// Splits [begin, end) into contiguous chunks of at least `grain` indices
 /// (grain 0 is treated as 1) and invokes `fn(lo, hi)` once per chunk, in
 /// parallel.  Every index in [begin, end) is covered by exactly one chunk.
-/// Runs serially when the range is a single chunk, the pool width is 1, or
-/// the caller is itself a pool worker.
+/// Runs serially when the range is a single chunk, the pool width is 1, the
+/// caller is itself a pool worker, or the process is a forked child.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 

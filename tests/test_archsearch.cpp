@@ -148,7 +148,7 @@ TEST_F(ArchSearchFixture, WinnerRematerializesTheEvaluatedCandidate) {
 }
 
 TEST(EvaluatePoints, DerivedStreamsMakeDuplicatesAndRepeatsFree) {
-    EvaluationEngine engine(EngineConfig{2, /*cache=*/true});
+    EvaluationEngine engine(EngineConfig{.threads = 2, .cache = true});
     EvalContext context;
     context.key = 1234;
 

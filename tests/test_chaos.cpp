@@ -1,7 +1,8 @@
 // Chaos torture suite for the fault-tolerant trial execution paths
 // (docs/robustness.md): determinism of the seeded chaos hook itself,
 // bit-identical recovery of in-process and crash-isolated evaluation under
-// injected crashes / hangs / NaNs, timeout quarantine, the spawn watchdog,
+// injected crashes / worker aborts / hangs / NaNs, timeout quarantine, the
+// spawn watchdog,
 // full bayesft_search / arch_search determinism under chaos at 1 and 4
 // threads, quarantine of always-failing candidates, and graceful GP
 // degradation when a refit is impossible.
@@ -264,26 +265,35 @@ TEST(ChaosEngineTest, IsolatedEvaluationMatchesInProcessBitwise) {
         const BatchOutcome isolated = engine.evaluate_points(
             engine_points(), pure_evaluator(), engine_context());
         expect_identical_ok(clean, isolated);
-        EXPECT_FALSE(engine.isolation_degraded());
+        EXPECT_FALSE(engine.pool_degraded());
     }
 }
 
 TEST(ChaosEngineTest, IsolatedCrashChaosRecoversBitIdentical) {
+    // `crash` is an attempt failure the one-shot worker reports;
+    // `worker_crash` is a real abort() of the isolated worker.  Both must
+    // recover to the clean bits.
     set_log_level(LogLevel::Error);
     const BatchOutcome clean = run_engine(quiet_engine_config());
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        EngineConfig config = quiet_engine_config();
-        config.threads = threads;
-        config.resilience.isolate = true;
-        config.resilience.max_retries = 12;
-        config.resilience.backoff_seconds = 0.0005;
-        config.chaos.crash = 0.45;
-        config.chaos.seed = 23;
-        EvaluationEngine engine(config);
-        const BatchOutcome chaotic = engine.evaluate_points(
-            engine_points(), pure_evaluator(), engine_context());
-        expect_identical_ok(clean, chaotic);
-        EXPECT_FALSE(engine.isolation_degraded());
+        for (const bool worker_crash : {false, true}) {
+            EngineConfig config = quiet_engine_config();
+            config.threads = threads;
+            config.resilience.isolate = true;
+            config.resilience.max_retries = 12;
+            config.resilience.backoff_seconds = 0.0005;
+            if (worker_crash) {
+                config.chaos.worker_crash = 0.45;
+            } else {
+                config.chaos.crash = 0.45;
+            }
+            config.chaos.seed = 23;
+            EvaluationEngine engine(config);
+            const BatchOutcome chaotic = engine.evaluate_points(
+                engine_points(), pure_evaluator(), engine_context());
+            expect_identical_ok(clean, chaotic);
+            EXPECT_FALSE(engine.pool_degraded());
+        }
     }
 }
 
@@ -315,7 +325,7 @@ TEST(ChaosEngineTest, SpawnWatchdogDegradesToInProcess) {
     const BatchOutcome degraded = engine.evaluate_points(
         engine_points(), pure_evaluator(), engine_context());
     expect_identical_ok(clean, degraded);
-    EXPECT_TRUE(engine.isolation_degraded());
+    EXPECT_TRUE(engine.pool_degraded());
 }
 #endif
 
@@ -515,25 +525,18 @@ TEST_F(ChaosSearchFixture, ArchSearchBitIdenticalUnderChaosAndIsolation) {
                     "in-process threads=" + std::to_string(threads));
     }
 
-    // Crash isolation, clean and under crash chaos (candidates are
-    // self-contained here, so forked children really carry the trial).
-    for (const bool with_chaos : {false, true}) {
+    // Crash isolation, clean, under reported attempt crashes, and under
+    // real aborts of the one-shot workers (candidates are self-contained
+    // here, so forked workers really carry the trial).
+    for (const char* spec : {"", "crash:0.35", "worker_crash:0.35"}) {
         ArchSearchConfig isolated_config = config;
         isolated_config.resilience.isolate = true;
         isolated_config.resilience.max_retries = 12;
         isolated_config.resilience.backoff_seconds = 0.0005;
-        if (with_chaos) {
-            ChaosEnv env("crash:0.35", "31");
-            Rng rng(19);
-            expect_same(
-                arch_search(family, train_, test_, isolated_config, rng),
-                "isolated+chaos");
-        } else {
-            Rng rng(19);
-            expect_same(
-                arch_search(family, train_, test_, isolated_config, rng),
-                "isolated");
-        }
+        ChaosEnv env(spec, "31");
+        Rng rng(19);
+        expect_same(arch_search(family, train_, test_, isolated_config, rng),
+                    std::string("isolated ") + spec);
     }
 
     // Spawn chaos: every fork fails, the watchdog degrades the run back to

@@ -1,12 +1,13 @@
-// Distributed candidate evaluation (core/distrib.*, docs/distributed.md):
+// Out-of-process candidate evaluation (core/distrib.*, docs/distributed.md):
 // the coordinator/worker split must be invisible in the results — best
 // point, trial history, and trial-log lines bit-identical for every worker
-// count, including under injected worker crashes, hangs, and spawn
-// failures, and across a checkpoint written at one worker count and
-// resumed at another.  Plus the satellite coverage: RunStore::parse_line
-// fuzzed as a wire format (truncated lines, non-finite objectives,
-// overlong fields, interleaved writers) and the candidate_seed purity
-// contract pinned across process boundaries.
+// count and for one-shot (isolated) workers, including under injected
+// worker crashes, hangs, and spawn failures, and across a checkpoint
+// written at one worker count and resumed at another.  Plus the satellite
+// coverage: RunStore::parse_line fuzzed as a wire format (truncated lines,
+// non-finite objectives, overlong fields, interleaved writers), the
+// candidate_seed purity contract pinned across process boundaries, and
+// the thread pool's fork safety.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/archsearch.hpp"
@@ -24,6 +27,7 @@
 #include "data/toy.hpp"
 #include "models/zoo.hpp"
 #include "utils/logging.hpp"
+#include "utils/parallel.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -290,7 +294,7 @@ TEST(CandidateSeedPurity, TrialRecordsIdenticalInProcessIsolatedAndWorkers) {
     EvaluationEngine distributed(worker_config);
     const BatchOutcome via_workers =
         distributed.evaluate_points(points, pure_evaluator(), context);
-    EXPECT_FALSE(distributed.distribution_degraded());
+    EXPECT_FALSE(distributed.pool_degraded());
     EXPECT_EQ(trial_lines(via_workers, context, points), reference);
 #endif
 }
@@ -386,7 +390,88 @@ TEST(DistribEngine, SpawnWatchdogDegradesToInProcess) {
     const BatchOutcome outcome = engine.evaluate_points(
         engine_points(), pure_evaluator(), engine_context());
     expect_identical_ok(clean, outcome);
-    EXPECT_TRUE(engine.distribution_degraded());
+    EXPECT_TRUE(engine.pool_degraded());
+}
+
+TEST(DistribEngine, IsolatedWorkersRunEachCallsEvaluator) {
+    // One-shot workers are forked per attempt, so an isolating engine that
+    // is handed a different evaluator on each call — as the server does,
+    // one per bucket — must score every call with that call's evaluator.
+    set_log_level(LogLevel::Error);
+    const PointEvaluator other = [](const Alpha& point, Rng& rng) {
+        return std::cos(3.0 * point[1]) - 0.5 * point[0] +
+               0.01 * rng.uniform();
+    };
+    EngineConfig config = quiet_config();
+    config.resilience.isolate = true;
+    EvaluationEngine isolated(config);
+    std::uint64_t bucket = 0;
+    for (const PointEvaluator& evaluator : {pure_evaluator(), other}) {
+        EvalContext context = engine_context();
+        context.key = mix_key(context.key, ++bucket);
+        const BatchOutcome reference = EvaluationEngine(quiet_config())
+            .evaluate_points(engine_points(), evaluator, context);
+        expect_identical_ok(reference, isolated.evaluate_points(
+                                           engine_points(), evaluator,
+                                           context));
+    }
+    EXPECT_FALSE(isolated.pool_degraded());
+}
+
+// ------------------------------------------------------------------ //
+// Fork safety of the thread pool under out-of-process evaluation.     //
+// ------------------------------------------------------------------ //
+
+TEST(ForkSafety, ForkedEvaluationsRunParallelLoopsWithoutDeadlock) {
+    // A forked worker whose evaluator calls parallel_for above its grain
+    // used to reuse the parent's ThreadPool, whose threads do not exist in
+    // the child and whose locks are in whatever state a parent thread left
+    // them at fork time: the child could block forever.  A parent thread
+    // keeps the pool busy while the engine forks, so forks land inside
+    // that window, and the trial timeout turns a hang into failed_timeout
+    // instead of a stalled suite.  Both out-of-process modes fork.
+    set_log_level(LogLevel::Error);
+    const auto spread = [](std::vector<double>& values, double offset) {
+        parallel_for(0, values.size(), 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                values[i] = std::sqrt(static_cast<double>(i) + offset);
+            }
+        });
+    };
+    const PointEvaluator evaluator = [&](const Alpha& point, Rng& rng) {
+        std::vector<double> values(256);
+        spread(values, point[0]);
+        double sum = 0.0;
+        for (const double value : values) sum += value;
+        return sum + 0.01 * rng.uniform();
+    };
+    const std::vector<Alpha> points = {{0.1}, {0.2}, {0.3}, {0.4}};
+    const EvalContext context = engine_context();
+    const BatchOutcome clean =
+        EvaluationEngine(quiet_config()).evaluate_points(points, evaluator,
+                                                         context);
+    const std::jthread busy([&](std::stop_token stop) {
+        std::vector<double> values(256);
+        while (!stop.stop_requested()) spread(values, 1.0);
+    });
+    for (const bool isolate : {true, false}) {
+        for (int round = 0; round < 20; ++round) {
+            EngineConfig config = quiet_config();
+            config.resilience.isolate = isolate;
+            config.workers = isolate ? 0 : 1;
+            config.resilience.timeout_seconds = 2.0;
+            config.resilience.max_retries = 0;
+            EvaluationEngine engine(config);
+            const BatchOutcome outcome =
+                engine.evaluate_points(points, evaluator, context);
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                EXPECT_EQ(outcome.statuses[i], TrialStatus::kOk)
+                    << (isolate ? "isolate" : "workers=1") << " round "
+                    << round << " candidate " << i;
+                EXPECT_EQ(outcome.utilities[i], clean.utilities[i]);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------------ //

@@ -295,7 +295,7 @@ TEST(ModelSnapshotTest, RoundTripRestoresWeightsAndMaskStreams) {
 // ------------------------------------------------ engine memo cache ----
 
 TEST(EngineCacheTest, ExportImportServesDuplicatesAcrossEngines) {
-    EvaluationEngine engine(EngineConfig{1, true});
+    EvaluationEngine engine(EngineConfig{.threads = 1, .cache = true});
     EvalContext context;
     context.key = 42;
     std::size_t evaluations = 0;
@@ -310,7 +310,7 @@ TEST(EngineCacheTest, ExportImportServesDuplicatesAcrossEngines) {
     ASSERT_EQ(2u, entries.size());
     EXPECT_LT(entries[0].first, entries[1].first);  // deterministic order
 
-    EvaluationEngine fresh(EngineConfig{1, true});
+    EvaluationEngine fresh(EngineConfig{.threads = 1, .cache = true});
     fresh.import_cache(context, entries);
     const BatchOutcome outcome =
         fresh.evaluate_points(points, evaluator, context);
