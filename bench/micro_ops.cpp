@@ -1,14 +1,16 @@
-// Micro-benchmarks of the numeric substrates: blocked GEMM (including a
-// comparison against the seed's scalar i-k-j kernel), batched conv
+// Micro-benchmarks of the numeric substrates: the dispatched float GEMM
+// (including a comparison against the seed's scalar i-k-j kernel, and the
+// conv forward/dW/dx shape classes LeNet-5 training issues), batched conv
 // forward/backward, GP fit, per-fault-model injection throughput across
 // the FaultModel zoo, multi-threaded Monte-Carlo drift evaluation scaling,
 // candidate-engine search throughput, and GP proposal cost over typed
 // mixed search spaces (suggest_throughput_vs_dims).
 //
 // Results are printed as a human-readable table AND emitted as
-// machine-readable JSON — one record per (op, shape, threads) with ns/iter,
-// GFLOP/s, and (for the bandwidth-bound injection ops) GB/s — so successive
-// PRs can track a perf trajectory in BENCH_*.json files.  Usage:
+// machine-readable JSON — the host fingerprint plus one record per (op,
+// shape, threads) with ns/iter, GFLOP/s, and (for the bandwidth-bound
+// injection ops) GB/s — so successive changes can track a perf trajectory
+// in BENCH_*.json files.  Usage:
 //
 //   micro_ops [output.json] [--filter <op-substring>]
 //
@@ -29,6 +31,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bayesopt/acquisition.hpp"
@@ -37,6 +40,7 @@
 #include "core/engine.hpp"
 #include "core/objective.hpp"
 #include "core/param_space.hpp"
+#include "core/persist.hpp"
 #include "data/toy.hpp"
 #include "fault/drift.hpp"
 #include "fault/evaluator.hpp"
@@ -47,7 +51,7 @@
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
 #include "nn/trainer.hpp"
-#include "tensor/gemm.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "utils/parallel.hpp"
 #include "utils/rng.hpp"
@@ -154,12 +158,13 @@ void bench_gemm() {
     }
 
     if (want("matmul_blocked_1t")) {
-        // Single-threaded blocked kernel (direct call, bypassing the pool).
+        // Single-threaded dispatched microkernel (direct call, bypassing the
+        // pool): the float GEMM every library matmul runs.
         Tensor c({n, n});
+        const auto& kt = simd::kernels();
         const double blocked_ns = time_ns([&] {
-            c.fill(0.0F);
-            detail::gemm_block(a.data(), n, b.data(), n, c.data(), n, n, n,
-                               n);
+            kt.gemm_f32(a.data(), n, b.data(), n, c.data(), n, n, n, n,
+                        false);
             sink = sink + c[0];
         });
         report("matmul_blocked_1t", shape, 1, blocked_ns, flops);
@@ -190,6 +195,48 @@ void bench_gemm() {
                std::to_string(dim) + "x" + std::to_string(dim) + "x" +
                    std::to_string(dim),
                parallel_thread_count(), ns, f);
+    }
+}
+
+/// The GEMM shape classes a LeNet-5 training step issues at batch 32
+/// (models/zoo.cpp make_lenet5 on 16x16 digits: conv 1->6 k5 p2 and conv
+/// 6->16 k3 p1), timed through gemm_accumulate exactly as Conv2d calls it:
+///   gemm_conv_fwd  W[OC, patch] @ cols[patch, 32*positions]
+///   gemm_conv_dw   G[OC, 32*positions] @ colsT[32*positions, patch]
+///   gemm_conv_dx   WT[patch, OC] @ G[OC, 32*positions]
+void bench_conv_gemm() {
+    struct Layer {
+        std::size_t patch, out_c, positions;
+    };
+    const Layer layers[] = {{1 * 5 * 5, 6, 16 * 16}, {6 * 3 * 3, 16, 8 * 8}};
+    constexpr std::size_t kBatch = 32;
+    Rng rng(4);
+    volatile float sink = 0.0F;
+    for (const std::string op :
+         {"gemm_conv_fwd", "gemm_conv_dw", "gemm_conv_dx"}) {
+        if (!want(op)) continue;
+        for (const Layer& l : layers) {
+            const std::size_t cols = kBatch * l.positions;
+            std::size_t m = l.out_c, k = l.patch, n = cols;
+            if (op == "gemm_conv_dw") {
+                k = cols;
+                n = l.patch;
+            } else if (op == "gemm_conv_dx") {
+                m = l.patch;
+                k = l.out_c;
+            }
+            const Tensor a = Tensor::randn({m, k}, rng);
+            const Tensor b = Tensor::randn({k, n}, rng);
+            Tensor c({m, n});
+            const double ns = time_ns([&] {
+                gemm_accumulate(a.data(), b.data(), c.data(), m, k, n);
+                sink = sink + c[0];
+            });
+            report(op,
+                   std::to_string(m) + "x" + std::to_string(k) + "x" +
+                       std::to_string(n),
+                   parallel_thread_count(), ns, 2.0 * m * k * n);
+        }
     }
 }
 
@@ -649,9 +696,28 @@ void bench_suggest_throughput() {
     }
 }
 
+/// CPU model from /proc/cpuinfo ("unknown" where that file is absent).
+std::string cpu_model() {
+    std::ifstream info("/proc/cpuinfo");
+    for (std::string line; std::getline(info, line);) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+            return line.substr(line.find_first_not_of(" \t", colon + 1));
+        }
+    }
+    return "unknown";
+}
+
+/// {"host": {cores, cpu, simd, compiler, build_type, build}, "records":
+/// [one {op, shape, threads, ns_per_iter, gflops, gbps} per measurement]}.
 void write_json(const std::string& path) {
     std::ofstream out(path);
-    out << "[\n";
+    out << "{\"host\": {\"cores\": " << std::thread::hardware_concurrency()
+        << ", \"cpu\": \"" << cpu_model() << "\", \"simd\": \""
+        << simd::kernels().name << "\", \"compiler\": \"" << __VERSION__
+        << "\", \"build_type\": \"" << BAYESFT_BUILD_TYPE
+        << "\", \"build\": \"" << core::build_stamp() << "\"},\n"
+        << " \"records\": [\n";
     for (std::size_t i = 0; i < g_records.size(); ++i) {
         const Record& r = g_records[i];
         out << "  {\"op\": \"" << r.op << "\", \"shape\": \"" << r.shape
@@ -660,7 +726,7 @@ void write_json(const std::string& path) {
             << ", \"gbps\": " << r.gbps << "}"
             << (i + 1 < g_records.size() ? "," : "") << "\n";
     }
-    out << "]\n";
+    out << "]}\n";
 }
 
 }  // namespace
@@ -687,6 +753,7 @@ int main(int argc, char** argv) {
     std::printf("pool width: %zu threads (override with BAYESFT_NUM_THREADS)\n",
                 parallel_thread_count());
     bench_gemm();
+    bench_conv_gemm();
     bench_conv();
     bench_gp();
     bench_fault_injection();

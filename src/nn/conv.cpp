@@ -76,6 +76,7 @@ Tensor Conv2d::forward(const Tensor& input) {
                                     shape_to_string(input.shape()));
     }
     cached_input_ = input;
+    cols_hold_input_ = false;
     if (mode_ != InferenceMode::kFloat32) return forward_fixed_point(input);
     const ConvGeometry g = geometry_for(input);
     const std::size_t n = input.dim(0);
@@ -119,6 +120,7 @@ Tensor Conv2d::forward(const Tensor& input) {
             }
         });
     }
+    cols_hold_input_ = group == n;
     return output;
 }
 
@@ -225,13 +227,16 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     for (std::size_t g0 = 0; g0 < n; g0 += group) {
         const std::size_t gs = std::min(group, n - g0);
         const std::size_t gp = gs * positions;
-        // Recompute the unfolded input (cheaper than caching N copies).
-        parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-                im2col(cached_input_.data() + (g0 + s) * image_stride, g,
-                       cols_scratch_.data() + s * positions, gp);
-            }
-        });
+        // Unfold the input again unless the forward left this group's
+        // unfold in place (the whole batch as one group).
+        if (!cols_hold_input_) {
+            parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t s = lo; s < hi; ++s) {
+                    im2col(cached_input_.data() + (g0 + s) * image_stride, g,
+                           cols_scratch_.data() + s * positions, gp);
+                }
+            });
+        }
         // Gather grad_output [N, OC, positions] into one [OC, gs*positions]
         // slab matching the cols layout.
         parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
@@ -259,6 +264,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         }
         // dcols = W^T @ G, folded back into the input gradient.  The cols
         // buffer is dead after the dW product, so reuse it for dcols.
+        cols_hold_input_ = false;
         std::fill_n(cols_scratch_.data(), patch * gp, 0.0F);
         gemm_accumulate(wt.data(), grad_scratch_.data(), cols_scratch_.data(),
                         patch, out_channels_, gp);

@@ -57,6 +57,11 @@ private:
     // Persistent batched-im2col/GEMM scratch, grown on demand and reused
     // across calls so the hot path allocates nothing per batch.
     std::vector<float> cols_scratch_;    // [patch, group*positions]
+    // True while cols_scratch_ holds the unfold of cached_input_'s whole
+    // batch (a float forward that ran as one group); backward then skips
+    // its im2col.  Cleared by the fixed-point forward and by the backward
+    // that overwrites cols_scratch_ with dcols.
+    bool cols_hold_input_ = false;
     std::vector<float> gemm_scratch_;    // [out_channels, group*positions]
     std::vector<float> grad_scratch_;    // backward: grad slab [OC, group*P]
     std::vector<float> colsT_scratch_;   // backward: cols^T [group*P, patch]

@@ -17,7 +17,8 @@
 // compiled with -ffp-contract=off so the scalar tier fuses exactly where
 // the vector tiers do (explicit std::fma) and nowhere else.
 // tests/test_simd.cpp pins the contract for every fault model, every
-// activation, and GEMM tail shapes.
+// activation, and GEMM edge-tile shapes (against an independent
+// per-element fma-chain reference).
 //
 // RNG stream layout: the fault kernels consume randomness through
 // kLanes = 16 deterministic logical lanes derived from the caller's Rng
@@ -97,8 +98,10 @@ struct KernelTable {
     // -- GEMM ------------------------------------------------------------
     /// C (+)= A · B on row-major blocks: A is m×k (leading dim lda), B is
     /// k×n (ldb), C is m×n (ldc).  `accumulate` false overwrites C (no
-    /// pre-zero needed).  Per-element summation order is fixed (ascending
-    /// k within kGemmKc panels) and identical across tiers.
+    /// pre-zero needed).  Each element of C is one fma chain: it starts
+    /// from C (or +0) and adds the k products in ascending order (stored
+    /// back once per kGemmPanelK panel), on every tier and every edge
+    /// tile.  Only C's m×n block is written, never the columns past n.
     void (*gemm_f32)(const float* a, std::size_t lda, const float* b,
                      std::size_t ldb, float* c, std::size_t ldc,
                      std::size_t m, std::size_t k, std::size_t n,

@@ -4,28 +4,37 @@
 //
 // Layout: all operands are dense row-major with explicit leading dimensions.
 //
-// Two paths share the blocked/tiled outer structure:
+// Two paths:
 //   float  — the register-tile microkernel lives in the runtime-dispatched
 //            SIMD layer (src/simd/kernels.hpp, gemm_f32).  The tier is
 //            picked per process (BAYESFT_SIMD=scalar|avx2|avx512|neon|
 //            native); explicit-intrinsic tiles are 8x32 floats in 16 zmm
 //            on AVX-512, 6x16 in 12 ymm on AVX2, 6x8 on NEON, and a 4x2
-//            std::fma tile on the scalar reference tier.  gemm_f32 also
-//            takes an `accumulate` flag: false overwrites C in the first
-//            k-panel, so callers producing a fresh output skip the
-//            pre-zero pass entirely.
+//            std::fma tile on the scalar reference tier.  Edge tiles run
+//            the same tile body: a row remainder uses a tile height equal
+//            to it (1..MR-1 rows), and a column remainder loads and stores
+//            its last vector with masked partial ops (AVX-512 mask
+//            registers, AVX2 maskload/maskstore, a small copy on NEON and
+//            scalar).  There is no scalar remainder loop, so skinny shapes
+//            such as the conv weight gradient (m=6, n=25, k=8192) run at
+//            vector speed.  gemm_f32 also takes an `accumulate` flag: false
+//            overwrites C in the first k-panel, so callers producing a
+//            fresh output skip the pre-zero pass entirely.
 //   double — the portable gemm_block template below; the compiler unrolls
 //            the fixed-bound kGemmMr x kGemmNr accumulator tile.
 //
-// Both stream k-panels of depth kGemmKc through the accumulators and write
-// C back once per panel — O(k / kGemmKc) C traffic instead of the O(k) of
-// a naive saxpy formulation.
+// Both stream k-panels of depth 256 (kGemmKc here, kGemmPanelK in the SIMD
+// layer) through the accumulators and write C
+// back once per panel — O(k / 256) C traffic instead of the O(k) of a
+// naive saxpy formulation.
 //
 // Determinism: for every element C[i][j] the k-summation order is fixed
 // (ascending within a panel, panels ascending) and, on the float path,
-// every product-add is exactly one fma on every tier — so results are
-// bit-identical for any thread count, any split, and any dispatch tier
-// (tile geometry never affects the per-element operation sequence).
+// every product-add is exactly one fma on every tier and in every edge
+// tile — so results are bit-identical for any thread count, any split,
+// and any dispatch tier (tile geometry never affects the per-element
+// operation sequence).  Masked stores write only columns below n, so
+// column splits handed to different threads never touch each other's C.
 
 #include <algorithm>
 #include <cstddef>

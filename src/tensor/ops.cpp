@@ -133,31 +133,22 @@ void col2im(const float* cols_mat, const ConvGeometry& g, float* image_grad) {
 void col2im(const float* cols_mat, const ConvGeometry& g, float* image_grad,
             std::size_t cols_stride) {
     const std::size_t oh = g.out_h(), ow = g.out_w();
-    const std::size_t cols = cols_stride;
     std::size_t row = 0;
     for (std::size_t c = 0; c < g.channels; ++c) {
         float* plane = image_grad + c * g.in_h * g.in_w;
         for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+            const detail::ValidSpan ys =
+                detail::valid_span(g.in_h, oh, g.stride, ky, g.pad);
             for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++row) {
-                const float* src = cols_mat + row * cols;
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) {
-                        continue;
-                    }
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        if (ix < 0 ||
-                            ix >= static_cast<std::ptrdiff_t>(g.in_w)) {
-                            continue;
-                        }
-                        plane[static_cast<std::size_t>(iy) * g.in_w +
-                              static_cast<std::size_t>(ix)] +=
-                            src[oy * ow + ox];
+                const detail::ValidSpan xs =
+                    detail::valid_span(g.in_w, ow, g.stride, kx, g.pad);
+                const float* src = cols_mat + row * cols_stride;
+                for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+                    float* irow =
+                        plane + (oy * g.stride + ky - g.pad) * g.in_w;
+                    const float* srow = src + oy * ow;
+                    for (std::size_t ox = xs.lo; ox < xs.hi; ++ox) {
+                        irow[ox * g.stride + kx - g.pad] += srow[ox];
                     }
                 }
             }

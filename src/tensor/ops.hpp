@@ -24,10 +24,12 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n);
 
-/// C = A^T @ B for A:[k,m], B:[k,n] -> C:[m,n] (no explicit transpose).
+/// C = A^T @ B for A:[k,m], B:[k,n] -> C:[m,n].  Materializes A^T (an
+/// O(km) copy) and runs the row-major GEMM on it.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
-/// C = A @ B^T for A:[m,k], B:[n,k] -> C:[m,n] (no explicit transpose).
+/// C = A @ B^T for A:[m,k], B:[n,k] -> C:[m,n].  Materializes B^T (an
+/// O(kn) copy) and runs the row-major GEMM on it.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Transposed copy of a 2-d tensor.
@@ -87,78 +89,69 @@ void im2col(const float* image, const ConvGeometry& g, float* out);
 void im2col(const float* image, const ConvGeometry& g, float* out,
             std::size_t out_stride);
 
+namespace detail {
+
+/// Output positions o in [lo, hi) of one window sweep axis whose input
+/// index o * stride + offset - pad lies inside [0, extent): the span a
+/// kernel offset reads without touching padding.  Empty when lo == hi.
+struct ValidSpan {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+};
+
+inline ValidSpan valid_span(std::size_t extent, std::size_t out,
+                            std::size_t stride, std::size_t offset,
+                            std::size_t pad) {
+    const auto ceil_div = [stride](std::size_t x) {
+        return (x + stride - 1) / stride;
+    };
+    const std::size_t lo =
+        std::min(out, offset >= pad ? 0 : ceil_div(pad - offset));
+    const std::size_t hi = extent + pad <= offset
+                               ? 0
+                               : std::min(out, ceil_div(extent + pad - offset));
+    return {lo, std::max(lo, hi)};
+}
+
+}  // namespace detail
+
 /// Generic unfold behind both im2col overloads, templated on the element
 /// type so the fixed-point forward pass (nn/quant.hpp) can unfold int16
-/// quantized codes with the same geometry.  For stride == 1 the valid
-/// input columns of each output row form one contiguous span, so the
-/// inner loop collapses to zero-fill / memcpy / zero-fill — this is the
-/// vectorized packing path; stride > 1 falls back to the gather loop.
+/// quantized codes with the same geometry.  Each (channel, ky, kx) row
+/// computes its valid output spans once (detail::valid_span), so every
+/// output row is zero-fill / copy / zero-fill with no per-element bounds
+/// check; the copy is one memcpy when stride == 1.
 template <typename T>
 void im2col_into(const T* image, const ConvGeometry& g, T* out,
                  std::size_t out_stride) {
     const std::size_t oh = g.out_h(), ow = g.out_w();
-    const std::ptrdiff_t in_h = static_cast<std::ptrdiff_t>(g.in_h);
-    const std::ptrdiff_t in_w = static_cast<std::ptrdiff_t>(g.in_w);
     std::size_t row = 0;
     for (std::size_t c = 0; c < g.channels; ++c) {
         const T* plane = image + c * g.in_h * g.in_w;
         for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+            const detail::ValidSpan ys =
+                detail::valid_span(g.in_h, oh, g.stride, ky, g.pad);
             for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++row) {
+                const detail::ValidSpan xs =
+                    detail::valid_span(g.in_w, ow, g.stride, kx, g.pad);
                 T* dst = out + row * out_stride;
-                if (g.stride == 1) {
-                    // ix = ox + kx - pad: valid ox span is [x_lo, x_hi).
-                    const std::ptrdiff_t x_off =
-                        static_cast<std::ptrdiff_t>(kx) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    const std::size_t x_lo = std::min(
-                        ow, x_off < 0 ? static_cast<std::size_t>(-x_off)
-                                      : std::size_t{0});
-                    const std::ptrdiff_t hi = in_w - x_off;
-                    const std::size_t x_hi =
-                        hi <= static_cast<std::ptrdiff_t>(x_lo)
-                            ? x_lo
-                            : std::min(ow, static_cast<std::size_t>(hi));
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const std::ptrdiff_t iy =
-                            static_cast<std::ptrdiff_t>(oy + ky) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        T* drow = dst + oy * ow;
-                        if (iy < 0 || iy >= in_h) {
-                            std::fill(drow, drow + ow, T{});
-                            continue;
+                std::fill(dst, dst + ys.lo * ow, T{});
+                for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+                    T* drow = dst + oy * ow;
+                    const T* irow =
+                        plane + (oy * g.stride + ky - g.pad) * g.in_w;
+                    std::fill(drow, drow + xs.lo, T{});
+                    if (g.stride == 1 && xs.lo < xs.hi) {
+                        std::memcpy(drow + xs.lo, irow + (xs.lo + kx - g.pad),
+                                    (xs.hi - xs.lo) * sizeof(T));
+                    } else {
+                        for (std::size_t ox = xs.lo; ox < xs.hi; ++ox) {
+                            drow[ox] = irow[ox * g.stride + kx - g.pad];
                         }
-                        std::fill(drow, drow + x_lo, T{});
-                        if (x_hi > x_lo) {
-                            std::memcpy(
-                                drow + x_lo,
-                                plane + static_cast<std::size_t>(iy) * g.in_w +
-                                    static_cast<std::size_t>(
-                                        static_cast<std::ptrdiff_t>(x_lo) +
-                                        x_off),
-                                (x_hi - x_lo) * sizeof(T));
-                        }
-                        std::fill(drow + x_hi, drow + ow, T{});
                     }
-                    continue;
+                    std::fill(drow + xs.hi, drow + ow, T{});
                 }
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    // Signed because padding can place the window off-image.
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    const bool y_ok = iy >= 0 && iy < in_h;
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        const bool x_ok = ix >= 0 && ix < in_w;
-                        dst[oy * ow + ox] =
-                            (y_ok && x_ok)
-                                ? plane[static_cast<std::size_t>(iy) * g.in_w +
-                                        static_cast<std::size_t>(ix)]
-                                : T{};
-                    }
-                }
+                std::fill(dst + ys.hi * ow, dst + oh * ow, T{});
             }
         }
     }
@@ -166,6 +159,10 @@ void im2col_into(const T* image, const ConvGeometry& g, T* out,
 
 /// Adjoint of im2col: folds the column matrix back, accumulating into
 /// `image_grad` (which must be pre-zeroed by the caller when appropriate).
+/// Visits rows in (channel, ky, kx) order and, within a row, only the
+/// detail::valid_span positions in (oy, ox) order, so each image element
+/// receives its additions in the order of a per-element bounds-checked
+/// scatter.
 void col2im(const float* cols, const ConvGeometry& g, float* image_grad);
 
 /// Strided variant matching the strided im2col layout.

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "nn/activations.hpp"
@@ -190,6 +194,91 @@ TEST(Conv2d, ChannelMismatchThrows) {
     Conv2d conv(3, 4, 3, 1, 1, rng);
     EXPECT_THROW(conv.forward(Tensor::zeros({1, 2, 8, 8})),
                  std::invalid_argument);
+}
+
+/// Weight, bias and input gradients of one Conv2d::backward (parameter
+/// gradients zeroed first), for bitwise comparison.
+struct ConvGrads {
+    std::vector<float> weight, bias, input;
+};
+
+ConvGrads conv_grads(Conv2d& conv, const Tensor& grad_output) {
+    conv.weight().grad.fill(0.0F);
+    conv.bias().grad.fill(0.0F);
+    const Tensor grad_input = conv.backward(grad_output);
+    const auto copy = [](std::span<const float> v) {
+        return std::vector<float>(v.begin(), v.end());
+    };
+    return {copy(conv.weight().grad.values()), copy(conv.bias().grad.values()),
+            copy(grad_input.values())};
+}
+
+/// Gradients that recompute the unfold: a fresh clone runs the float
+/// forward on `input`, then a throwaway backward, which overwrites the
+/// forward's unfold with dcols, so the measured backward unfolds again.
+ConvGrads recomputed_grads(const Conv2d& conv, const Tensor& input,
+                           const Tensor& grad_output) {
+    std::unique_ptr<Module> fresh = conv.clone();
+    auto& clone = dynamic_cast<Conv2d&>(*fresh);
+    clone.set_inference_mode(InferenceMode::kFloat32);
+    clone.forward(input);
+    clone.backward(grad_output);
+    return conv_grads(clone, grad_output);
+}
+
+void expect_bitwise(const ConvGrads& got, const ConvGrads& want,
+                    const std::string& what) {
+    const auto same = [](const std::vector<float>& a,
+                         const std::vector<float>& b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+    };
+    EXPECT_TRUE(same(got.weight, want.weight)) << what << ": weight grad";
+    EXPECT_TRUE(same(got.bias, want.bias)) << what << ": bias grad";
+    EXPECT_TRUE(same(got.input, want.input)) << what << ": input grad";
+}
+
+/// Conv2d::backward reuses the float forward's whole-batch unfold instead
+/// of running im2col again; the gradients must not move by a bit, and any
+/// forward that did not leave the current input's unfold in place (a
+/// fixed-point forward) must make the backward unfold again.
+TEST(Conv2d, BackwardReusingForwardUnfoldIsBitIdentical) {
+    struct Case {
+        std::size_t in_c, out_c, kernel, stride, pad;
+    };
+    const Case cases[] = {{2, 3, 3, 1, 1}, {1, 4, 5, 2, 2}, {3, 2, 1, 1, 0}};
+    for (const Case& c : cases) {
+        Rng rng(40 + c.kernel);
+        Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, rng);
+        const Tensor x0 = Tensor::randn({4, c.in_c, 9, 9}, rng);
+        const Tensor x1 = Tensor::randn({4, c.in_c, 9, 9}, rng);
+        const Tensor grad = Tensor::randn(conv.forward(x0).shape(), rng);
+        const std::string tag = conv.name();
+
+        // Forward then backward.
+        conv.forward(x1);
+        expect_bitwise(conv_grads(conv, grad),
+                       recomputed_grads(conv, x1, grad),
+                       tag + " forward+backward");
+
+        // Two forwards on different inputs, then one backward: the
+        // backward differentiates the second input.
+        conv.forward(x0);
+        conv.forward(x1);
+        expect_bitwise(conv_grads(conv, grad),
+                       recomputed_grads(conv, x1, grad),
+                       tag + " two forwards+backward");
+
+        // A float forward leaves x0's unfold behind; an int8 forward on x1
+        // must invalidate it, so the float backward unfolds x1 again.
+        conv.forward(x0);
+        conv.set_inference_mode(InferenceMode::kInt8);
+        conv.forward(x1);
+        conv.set_inference_mode(InferenceMode::kFloat32);
+        expect_bitwise(conv_grads(conv, grad),
+                       recomputed_grads(conv, x1, grad),
+                       tag + " int8 forward+float backward");
+    }
 }
 
 TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "tensor/ops.hpp"
 #include "utils/rng.hpp"
@@ -126,6 +128,109 @@ TEST(Ops, Col2ImIsAdjointOfIm2Col) {
         rhs += static_cast<double>(x[i]) * folded[i];
     }
     EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+/// The bounds-checked per-element loops im2col/col2im replace: a gather
+/// that reads padding as 0, and a scatter that skips padding.  col2im must
+/// match the scatter bit for bit (same additions, same order).
+void naive_im2col(const float* image, const ConvGeometry& g, float* cols,
+                  std::size_t cols_stride) {
+    const std::size_t oh = g.out_h(), ow = g.out_w();
+    std::size_t row = 0;
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+            for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++row) {
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        const long iy = static_cast<long>(oy * g.stride + ky) -
+                                        static_cast<long>(g.pad);
+                        const long ix = static_cast<long>(ox * g.stride + kx) -
+                                        static_cast<long>(g.pad);
+                        const bool inside =
+                            iy >= 0 && iy < static_cast<long>(g.in_h) &&
+                            ix >= 0 && ix < static_cast<long>(g.in_w);
+                        cols[row * cols_stride + oy * ow + ox] =
+                            inside ? image[(c * g.in_h + iy) * g.in_w + ix]
+                                   : 0.0F;
+                    }
+                }
+            }
+        }
+    }
+}
+
+void naive_col2im(const float* cols, const ConvGeometry& g, float* image,
+                  std::size_t cols_stride) {
+    const std::size_t oh = g.out_h(), ow = g.out_w();
+    std::size_t row = 0;
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+            for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++row) {
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        const long iy = static_cast<long>(oy * g.stride + ky) -
+                                        static_cast<long>(g.pad);
+                        const long ix = static_cast<long>(ox * g.stride + kx) -
+                                        static_cast<long>(g.pad);
+                        if (iy < 0 || iy >= static_cast<long>(g.in_h) ||
+                            ix < 0 || ix >= static_cast<long>(g.in_w)) {
+                            continue;
+                        }
+                        image[(c * g.in_h + iy) * g.in_w + ix] +=
+                            cols[row * cols_stride + oy * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Ops, Im2ColAndCol2ImMatchNaiveLoopsBitwise) {
+    // {channels, in_h, in_w, kernel_h, kernel_w, stride, pad}
+    const ConvGeometry geometries[] = {
+        {2, 7, 7, 3, 3, 1, 0},   {2, 7, 7, 3, 3, 1, 1},
+        {2, 7, 7, 3, 3, 1, 2},   {1, 8, 6, 3, 3, 2, 0},
+        {1, 8, 6, 3, 3, 2, 1},   {3, 9, 9, 5, 5, 2, 2},
+        {2, 6, 9, 2, 4, 1, 1},   {2, 6, 9, 4, 2, 2, 0},
+        {1, 7, 5, 3, 1, 2, 2},   {2, 5, 4, 5, 4, 1, 0},
+        {1, 3, 4, 7, 8, 1, 2},   {1, 3, 3, 5, 5, 2, 1},
+        {1, 1, 1, 5, 5, 1, 2},   {1, 9, 1, 5, 5, 1, 2},
+        {2, 9, 2, 3, 5, 2, 2},   {1, 16, 16, 5, 5, 1, 2},
+        {6, 8, 8, 3, 3, 1, 1}};
+    Rng rng(11);
+    for (const ConvGeometry& g : geometries) {
+        g.validate();
+        const std::size_t rows = g.channels * g.kernel_h * g.kernel_w;
+        const std::size_t positions = g.out_h() * g.out_w();
+        // A column stride wider than one sample, as in Conv2d's batch slab.
+        const std::size_t stride = positions + 3;
+        const Tensor image = Tensor::randn({g.channels, g.in_h, g.in_w}, rng);
+        const Tensor cols = Tensor::randn({rows, stride}, rng);
+        const Tensor base = Tensor::randn({g.channels, g.in_h, g.in_w}, rng);
+        const std::string what =
+            "c" + std::to_string(g.channels) + " " + std::to_string(g.in_h) +
+            "x" + std::to_string(g.in_w) + " k" + std::to_string(g.kernel_h) +
+            "x" + std::to_string(g.kernel_w) + " s" +
+            std::to_string(g.stride) + " p" + std::to_string(g.pad);
+
+        Tensor unfolded = Tensor::full({rows, stride}, 7.0F);
+        Tensor expected_cols = unfolded;
+        im2col(image.data(), g, unfolded.data(), stride);
+        naive_im2col(image.data(), g, expected_cols.data(), stride);
+        EXPECT_EQ(std::memcmp(unfolded.data(), expected_cols.data(),
+                              unfolded.size() * sizeof(float)),
+                  0)
+            << "im2col " << what;
+
+        Tensor folded = base;
+        Tensor expected_image = base;
+        col2im(cols.data(), g, folded.data(), stride);
+        naive_col2im(cols.data(), g, expected_image.data(), stride);
+        EXPECT_EQ(std::memcmp(folded.data(), expected_image.data(),
+                              folded.size() * sizeof(float)),
+                  0)
+            << "col2im " << what;
+    }
 }
 
 TEST(Ops, ArgmaxRows) {

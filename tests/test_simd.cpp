@@ -3,9 +3,10 @@
 // produce bit-identical results on every tier this build + CPU can run.
 // Pinned here for every fault model in the zoo, every activation kind
 // (forward and backward), the deterministic quantization kernels, and
-// GEMM across odd/remainder shapes; plus the panel-split invariance that
-// makes the parallel GEMM driver thread-count independent, and fault
-// injection under 1 and 4 evaluation threads.
+// GEMM against an independent per-element fma-chain reference across
+// odd/remainder shapes and strided sub-blocks; plus the panel-split
+// invariance that makes the parallel GEMM driver thread-count independent,
+// and fault injection under 1 and 4 evaluation threads.
 
 #include <gtest/gtest.h>
 
@@ -203,16 +204,44 @@ TEST(SimdBitExact, EveryActivationMatchesScalarOnEveryTier) {
 
 // --------------------------------------------------- GEMM equivalence ----
 
+/// Independent GEMM reference, written without the kernel layer: every
+/// element is one std::fma chain that starts from C (or +0 when
+/// overwriting) and adds a[i][kk] * b[kk][j] for kk ascending.  This is the
+/// per-element contract of simd/kernels.hpp, so every tier must match it
+/// bit for bit.
+void reference_gemm(const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc, std::size_t m,
+                    std::size_t k, std::size_t n, bool accumulate) {
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = accumulate ? c[i * ldc + j] : 0.0F;
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                acc = std::fma(a[i * lda + kk], b[kk * ldb + j], acc);
+            }
+            c[i * ldc + j] = acc;
+        }
+    }
+}
+
 /// Shapes straddling every microkernel boundary: sub-tile, exact tiles,
-/// row/column remainders, k spanning multiple kGemmKc panels, and the
-/// k == 0 case (accumulate=false must still zero-fill C).
-TEST(SimdBitExact, GemmMatchesScalarOnOddShapes) {
+/// row/column remainders, k spanning multiple kGemmPanelK panels, the
+/// k == 0 case (accumulate=false must still zero-fill C), the LeNet conv
+/// shapes (forward W·cols, dW = G·colsᵀ, dx = Wᵀ·G at batch 32), the MLP
+/// output layer, and every m from 1 to 9 against narrow and ragged n.
+TEST(SimdBitExact, GemmMatchesFmaChainReferenceOnEveryTier) {
     struct Shape {
         std::size_t m, k, n;
     };
-    const Shape shapes[] = {{1, 1, 1},   {3, 5, 7},    {8, 16, 32},
-                            {13, 1, 19}, {6, 0, 4},    {17, 31, 33},
-                            {33, 64, 65}, {2, 259, 9}, {5, 300, 40}};
+    std::vector<Shape> shapes = {
+        {1, 1, 1},     {3, 5, 7},      {8, 16, 32},    {13, 1, 19},
+        {6, 0, 4},     {17, 31, 33},   {33, 64, 65},   {2, 259, 9},
+        {5, 300, 40},  {6, 8192, 25},  {16, 2048, 54}, {6, 25, 8192},
+        {16, 54, 2048}, {25, 6, 8192}, {54, 16, 2048}, {32, 64, 10}};
+    for (std::size_t m = 1; m <= 9; ++m) {
+        for (const std::size_t n : {1, 7, 9, 15, 17, 31, 33}) {
+            shapes.push_back({m, 5, n});
+        }
+    }
     const auto tiers = available_tiers();
     for (const Shape& s : shapes) {
         const std::vector<float> a = test_weights(s.m * s.k, 0xA + s.m);
@@ -221,8 +250,7 @@ TEST(SimdBitExact, GemmMatchesScalarOnOddShapes) {
 
         for (const bool accumulate : {false, true}) {
             std::vector<float> ref = c0;
-            kernels_for(Tier::kScalar)
-                ->gemm_f32(a.data(), s.k, b.data(), s.n, ref.data(), s.n,
+            reference_gemm(a.data(), s.k, b.data(), s.n, ref.data(), s.n,
                            s.m, s.k, s.n, accumulate);
             for (const Tier t : tiers) {
                 std::vector<float> c = c0;
@@ -242,10 +270,58 @@ TEST(SimdBitExact, GemmMatchesScalarOnOddShapes) {
     }
 }
 
+/// C as a sub-block of a wider buffer (lda > k, ldb > n, ldc > n), ringed
+/// by sentinels.  The edge tiles' partial stores must write exactly the
+/// block: gemm_parallel_f32 hands neighbouring column blocks of one C to
+/// different threads, so a store that spilled past n would be a data race.
+TEST(SimdBitExact, GemmStridedBlockLeavesSentinelsUntouched) {
+    struct Shape {
+        std::size_t m, k, n;
+    };
+    const Shape shapes[] = {{11, 37, 25}, {3, 300, 9}, {9, 4, 10},
+                            {1, 7, 33},   {8, 2, 1},   {17, 5, 47}};
+    constexpr std::size_t kTop = 2, kLeft = 3, kPad = 5;
+    constexpr float kSentinel = -12345.5F;
+    for (const Shape& s : shapes) {
+        const std::size_t lda = s.k + kPad;
+        const std::size_t ldb = s.n + kPad;
+        const std::size_t ldc = kLeft + s.n + kPad;
+        const std::size_t rows = kTop + s.m + kTop;
+        const std::vector<float> a = test_weights(s.m * lda, 0x5A + s.m);
+        const std::vector<float> b = test_weights(s.k * ldb, 0x5B + s.n);
+        std::vector<float> c0(rows * ldc, kSentinel);
+        const std::vector<float> fill = test_weights(s.m * s.n, 0x5C + s.k);
+        for (std::size_t i = 0; i < s.m; ++i) {
+            for (std::size_t j = 0; j < s.n; ++j) {
+                c0[(kTop + i) * ldc + kLeft + j] = fill[i * s.n + j];
+            }
+        }
+        const std::size_t offset = kTop * ldc + kLeft;
+        for (const bool accumulate : {false, true}) {
+            std::vector<float> ref = c0;
+            reference_gemm(a.data(), lda, b.data(), ldb, ref.data() + offset,
+                           ldc, s.m, s.k, s.n, accumulate);
+            for (const Tier t : available_tiers()) {
+                std::vector<float> c = c0;
+                kernels_for(t)->gemm_f32(a.data(), lda, b.data(), ldb,
+                                         c.data() + offset, ldc, s.m, s.k,
+                                         s.n, accumulate);
+                // ref holds the sentinels outside the block, so one
+                // bitwise compare covers both the block and its ring.
+                EXPECT_TRUE(bits_equal(ref, c))
+                    << "strided gemm " << s.m << "x" << s.k << "x" << s.n
+                    << " accumulate=" << accumulate << " tier "
+                    << tier_name(t);
+            }
+        }
+    }
+}
+
 /// The parallel GEMM driver splits C into row/column panels; the split
-/// must not change a single bit.  Emulate a 4-thread row partition by
-/// hand and compare against the one-shot call — this is exactly the
-/// invariance that makes any pool width produce identical results.
+/// must not change a single bit.  Emulate 4-thread row and column
+/// partitions by hand and compare against the one-shot call — this is
+/// exactly the invariance that makes any pool width produce identical
+/// results.  The uneven column panels put an edge tile at every seam.
 TEST(SimdBitExact, GemmPanelSplitIsBitInvariant) {
     const std::size_t m = 37, k = 53, n = 29;
     const std::vector<float> a = test_weights(m * k, 1);
@@ -257,14 +333,25 @@ TEST(SimdBitExact, GemmPanelSplitIsBitInvariant) {
         kt->gemm_f32(a.data(), k, b.data(), n, whole.data(), n, m, k, n,
                      false);
 
-        std::vector<float> split(m * n);
-        const std::size_t bounds[] = {0, 9, 18, 27, m};  // 4 uneven panels
+        std::vector<float> rows(m * n);
+        const std::size_t row_bounds[] = {0, 9, 18, 27, m};
         for (int p = 0; p < 4; ++p) {
-            const std::size_t lo = bounds[p], hi = bounds[p + 1];
+            const std::size_t lo = row_bounds[p], hi = row_bounds[p + 1];
             kt->gemm_f32(a.data() + lo * k, k, b.data(), n,
-                         split.data() + lo * n, n, hi - lo, k, n, false);
+                         rows.data() + lo * n, n, hi - lo, k, n, false);
         }
-        EXPECT_TRUE(bits_equal(whole, split)) << tier_name(t);
+        EXPECT_TRUE(bits_equal(whole, rows)) << "rows " << tier_name(t);
+
+        // Right to left, so a tail store spilling past its panel would
+        // clobber a neighbour already computed.
+        std::vector<float> cols(m * n);
+        const std::size_t col_bounds[] = {0, 7, 16, 23, n};
+        for (int p = 3; p >= 0; --p) {
+            const std::size_t lo = col_bounds[p], hi = col_bounds[p + 1];
+            kt->gemm_f32(a.data(), k, b.data() + lo, n, cols.data() + lo, n,
+                         m, k, hi - lo, false);
+        }
+        EXPECT_TRUE(bits_equal(whole, cols)) << "columns " << tier_name(t);
     }
 }
 
