@@ -479,7 +479,7 @@ int main(int argc, char** argv) {
         if (spec != nullptr && !spec->checkpointable) {
             std::cerr << "experiments: scenario '" << names.front()
                       << "' has no resumable search loop; --checkpoint is "
-                         "supported by the fig3 classification panels, "
+                         "supported by the fig3 panels (fig3j included), "
                          "faults_fig3a_*, archsearch_*, and toy\n";
             return 2;
         }

@@ -4,9 +4,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "bayesopt/acquisition.hpp"
 #include "core/engine.hpp"
-#include "utils/logging.hpp"
+#include "core/search_loop.hpp"
 
 namespace bayesft::core {
 
@@ -45,62 +44,9 @@ ArchSearchResult arch_search(const models::ArchFamily& family,
     }
     const ParamSpace& space = family.space;
 
-    const std::uint64_t scenario_digest =
-        archsearch_scenario_digest(config, rng.state());
-    bayesopt::BayesOpt bo(
-        space.encoded_bounds(),
-        space.kernel(config.kernel_inverse_scale, config.hamming_weight),
-        bayesopt::make_acquisition(config.acquisition), config.bo,
-        rng.split(), space.projection());
-
-    EngineConfig engine_config;
-    engine_config.threads = config.eval_threads;
-    engine_config.workers = config.workers;
-    engine_config.resilience = config.resilience;
-    EvaluationEngine engine(engine_config);
-    // The context digests everything a candidate's utility depends on
-    // besides its point: objective, space structure, training budget, and a
-    // per-run nonce so two searches differing only in seed draw distinct
-    // candidate streams.  The stamp stays 0 for the whole run — candidates
-    // are built from scratch, so memoized utilities never go stale and
-    // repeated proposals (common once integer/categorical snapping kicks
-    // in) cost nothing.
-    EvalContext context;
-    std::size_t done = 0;
-    std::size_t resumed = 0;
-    if (config.checkpoint.enabled() &&
-        checkpoint_exists(config.checkpoint.path)) {
-        const SearchCheckpoint cp =
-            load_checkpoint(config.checkpoint.path);
-        validate_checkpoint(cp, space.digest(), scenario_digest,
-                            config.checkpoint.path);
-        if (cp.trials_done > config.iterations) {
-            throw std::runtime_error(
-                "checkpoint: " + config.checkpoint.path + " holds " +
-                std::to_string(cp.trials_done) +
-                " trials but the configured budget is " +
-                std::to_string(config.iterations));
-        }
-        bo.import_state(cp.bo);
-        rng.set_state(cp.run_rng);
-        context.key = cp.context_key;
-        context.stamp = cp.context_stamp;
-        // Re-seed the memo cache: duplicate proposals after the resume are
-        // as free as they were in the writing run.
-        engine.import_cache(context, cp.cache);
-        done = cp.trials_done;
-        resumed = done;
-        log_info() << "arch_search resumed from " << config.checkpoint.path
-                   << " at trial " << done << "/" << config.iterations;
-    } else {
-        context.key = objective_digest(config.objective);
-        context.key = mix_key(context.key, space.digest());
-        context.key = mix_key(context.key,
-                              static_cast<std::uint64_t>(
-                                  config.train.epochs));
-        context.key = mix_key(context.key, rng());
-    }
-
+    EvaluationEngine engine({.threads = config.eval_threads,
+                             .resilience = config.resilience,
+                             .workers = config.workers});
     const PointEvaluator evaluator = [&](const Alpha& encoded, Rng& r) {
         const ParamPoint point = space.decode(encoded);
         models::ModelHandle model = family.build(space, point, r);
@@ -110,74 +56,61 @@ ArchSearchResult arch_search(const models::ArchFamily& family,
                              validation_set.labels, config.objective, r);
     };
 
-    const auto write_checkpoint = [&]() {
-        SearchCheckpoint cp;
-        cp.run_id = "arch_search:" + family.name;
-        cp.build = build_stamp();
-        cp.space_digest = space.digest();
-        cp.scenario_digest = scenario_digest;
-        cp.context_key = context.key;
-        cp.context_stamp = context.stamp;
-        cp.trials_done = done;
-        cp.run_rng = rng.state();
-        cp.bo = bo.export_state();
-        cp.cache = engine.export_cache();
-        save_checkpoint(cp, config.checkpoint.path);
+    const SearchSettings settings{
+        .run_id = "arch_search:" + family.name,
+        .scenario_digest = archsearch_scenario_digest(config, rng.state()),
+        .iterations = config.iterations,
+        .batch = config.batch,
+        .acquisition = config.acquisition,
+        .kernel_inverse_scale = config.kernel_inverse_scale,
+        .hamming_weight = config.hamming_weight,
+        .bo = config.bo,
+        .checkpoint = config.checkpoint,
     };
-
-    const std::size_t q = std::max<std::size_t>(1, config.batch);
-    std::size_t new_trials = 0;
-    while (done < config.iterations) {
-        const std::size_t group = std::min(q, config.iterations - done);
-        const std::vector<bayesopt::Point> encoded = bo.suggest_batch(group);
-        const BatchOutcome outcome =
-            engine.evaluate_points(encoded, evaluator, context);
-        bo.observe_batch(encoded, outcome.utilities, outcome.statuses);
-        for (std::size_t j = 0; j < group; ++j) {
-            log_debug() << "arch_search trial " << (done + j) << " ["
-                        << space.describe(space.decode(encoded[j])) << "] "
-                        << "utility " << outcome.utilities[j];
-        }
-        done += group;
-        new_trials += group;
-        if (config.checkpoint.enabled()) {
-            write_checkpoint();
-            if (config.checkpoint.stop_after != 0 &&
-                new_trials >= config.checkpoint.stop_after &&
-                done < config.iterations) {
-                ArchSearchResult partial;
-                const auto best = bo.best();
-                partial.best_utility = best->y;
-                partial.best_point = space.decode(best->x);
-                partial.trials = bo.trials();
-                partial.trial_points.reserve(partial.trials.size());
-                for (const bayesopt::Trial& trial : partial.trials) {
-                    partial.trial_points.push_back(space.decode(trial.x));
-                }
-                partial.engine_cache_hits = engine.cache_hits();
-                partial.completed = false;
-                partial.resumed_trials = resumed;
-                return partial;
-            }
-        }
-    }
+    SearchHooks hooks;
+    // The context digests everything a candidate's utility depends on
+    // besides its point: objective, space structure, training budget, and a
+    // per-run nonce so two searches differing only in seed draw distinct
+    // candidate streams.  The stamp stays 0 for the whole run — candidates
+    // are built from scratch, so memoized utilities never go stale and
+    // repeated proposals (common once integer/categorical snapping kicks
+    // in) cost nothing.
+    hooks.start = [&] {
+        std::uint64_t key = objective_digest(config.objective);
+        key = mix_key(key, space.digest());
+        key = mix_key(key, static_cast<std::uint64_t>(config.train.epochs));
+        return mix_key(key, rng());
+    };
+    // Re-seed the memo cache: duplicate proposals after a resume are as
+    // free as they were in the writing run.
+    hooks.resume = [&](const SearchCheckpoint& cp) {
+        engine.import_cache({cp.context_key, cp.context_stamp}, cp.cache);
+    };
+    hooks.save = [&](SearchCheckpoint& cp) {
+        cp.cache = engine.export_cache();
+    };
+    hooks.evaluate = [&](const std::vector<bayesopt::Point>& points,
+                         EvalContext& context) {
+        return engine.evaluate_points(points, evaluator, context);
+    };
+    const SearchOutcome search = run_search_loop(space, settings, hooks, rng);
 
     ArchSearchResult result;
-    const auto best = bo.best();
-    result.best_utility = best->y;
-    result.best_point = space.decode(best->x);
-    result.trials = bo.trials();
-    result.trial_points.reserve(result.trials.size());
+    result.best_utility = search.best.y;
+    result.best_point = space.decode(search.best.x);
+    result.trials = search.trials;
     for (const bayesopt::Trial& trial : result.trials) {
         result.trial_points.push_back(space.decode(trial.x));
     }
     result.engine_cache_hits = engine.cache_hits();
-    result.resumed_trials = resumed;
+    result.completed = search.completed;
+    result.resumed_trials = search.resumed_trials;
+    if (!result.completed) return result;
 
     // Re-materialize the winner on its original candidate stream: the same
     // derived seed replays build + training bit for bit, so the returned
     // model is exactly the candidate the GP scored.
-    Rng winner_rng(candidate_seed(context, best->x));
+    Rng winner_rng(candidate_seed(search.context, search.best.x));
     result.best_model = family.build(space, result.best_point, winner_rng);
     nn::train_classifier(*result.best_model.net, train_set.images,
                          train_set.labels, config.train, winner_rng);

@@ -1,28 +1,17 @@
 #include "core/bayesft.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "core/engine.hpp"
 #include "core/param_space.hpp"
-#include "utils/logging.hpp"
+#include "core/search_loop.hpp"
 
 namespace bayesft::core {
 
 namespace {
-
-/// Decoded, human-readable points for the run store, in trial order.
-std::vector<std::string> describe_trials(
-    const ParamSpace& space, const std::vector<bayesopt::Trial>& trials) {
-    std::vector<std::string> points;
-    points.reserve(trials.size());
-    for (const bayesopt::Trial& trial : trials) {
-        points.push_back(space.describe(space.decode(trial.x)));
-    }
-    return points;
-}
 
 /// Everything that shapes the dropout search besides the RNG streams; a
 /// checkpoint written under any other value resumes nothing.
@@ -46,14 +35,22 @@ std::uint64_t bayesft_scenario_digest(const BayesFTConfig& config,
     return mix_rng_state(key, entry);
 }
 
-/// Shared loop body for GP-guided and random search: groups of q candidates
-/// are proposed (suggest_batch or uniform sampling), handed to the
-/// EvaluationEngine (per-candidate replicas, winner adoption), and the
-/// outcomes are reported back to the surrogate in one observe_batch.
-BayesFTResult run_search(
-    models::ModelHandle& model, const data::Dataset& train_set,
-    const data::Dataset& validation_set, const BayesFTConfig& config,
-    Rng& rng, bool use_gp) {
+/// The two steps Algorithm 1 alternates on theta: train for some epochs
+/// under the installed dropout rates (lines 5-7), and score the
+/// fault-marginalized utility (Eq. 4) on held-out data (lines 8-9).
+struct ThetaSteps {
+    std::function<void(nn::Module& net, std::size_t epochs, Rng& rng)> train;
+    std::function<double(nn::Module& net, Rng& rng)> score;
+};
+
+/// The evolving-theta caller of the search loop, behind both bayesft_search
+/// overloads and random_search: every group trains theta further through
+/// evaluate_batch (per-candidate replicas, winner adoption), so the stamp
+/// advances per group and checkpoints carry the weights.
+BayesFTResult evolving_search(models::ModelHandle& model,
+                              const ThetaSteps& steps,
+                              const BayesFTConfig& config, Rng& rng,
+                              bool use_gp) {
     if (model.dropout_sites.empty()) {
         throw std::invalid_argument(
             "bayesft_search: model has no dropout sites to search over");
@@ -66,186 +63,115 @@ BayesFTResult run_search(
             "bayesft_search: max_dropout_rate must be in (0, 1)");
     }
     const std::size_t dims = model.dropout_sites.size();
-
     // The dropout vector as a typed search space: all-continuous dims in
     // native units, so the encoded view, kernel values, and RNG streams are
     // bit-identical to the historical BoxBounds path (gtest-enforced by
     // the serial-reference comparison in tests/test_engine.cpp).
     const ParamSpace space =
         ParamSpace::dropout(dims, config.max_dropout_rate);
-    const std::uint64_t scenario_digest =
-        bayesft_scenario_digest(config, use_gp, rng.state());
-    bayesopt::BayesOpt bo(space.encoded_bounds(),
-                          space.kernel(config.kernel_inverse_scale,
-                                       /*hamming_weight=*/1.0),
-                          bayesopt::make_acquisition(config.acquisition),
-                          config.bo, rng.split(), space.projection());
 
-    nn::TrainConfig epoch_config = config.train;
-    epoch_config.epochs = config.epochs_per_iteration;
+    // Crash isolation and distributed workers never apply here (evolving
+    // theta cannot cross a child pipe); the in-process guards — timeout
+    // classification, retries with state rollback, quarantine — carry the
+    // fault tolerance.
+    ResilienceConfig resilience = config.resilience;
+    resilience.isolate = false;
+    EvaluationEngine engine(
+        {.threads = config.eval_threads, .resilience = resilience});
+    const CandidateEvaluator evaluator =
+        [&](models::ModelHandle& candidate, const Alpha&, Rng& r) {
+            steps.train(*candidate.net, config.epochs_per_iteration, r);
+            return steps.score(*candidate.net, r);
+        };
 
-    const std::size_t q = std::max<std::size_t>(1, config.batch);
-    EvalContext context;
-    std::size_t done = 0;
-    std::size_t resumed = 0;
-    if (config.checkpoint.enabled() &&
-        checkpoint_exists(config.checkpoint.path)) {
-        // Resume: restore the optimizer, the loop RNG (which replaces the
-        // warmup/nonce draws a fresh run would have made), the evaluation
-        // context, and the trained weights, then continue the trial loop
-        // as if the writing run had never stopped.
-        const SearchCheckpoint cp =
-            load_checkpoint(config.checkpoint.path);
-        validate_checkpoint(cp, space.digest(), scenario_digest,
-                            config.checkpoint.path);
+    const SearchSettings settings{
+        .run_id = use_gp ? "bayesft_search" : "random_search",
+        .scenario_digest =
+            bayesft_scenario_digest(config, use_gp, rng.state()),
+        .iterations = config.iterations,
+        .batch = config.batch,
+        .use_gp = use_gp,
+        .acquisition = config.acquisition,
+        .kernel_inverse_scale = config.kernel_inverse_scale,
+        .bo = config.bo,
+        .checkpoint = config.checkpoint,
+    };
+    SearchHooks hooks;
+    hooks.start = [&] {
+        if (config.warmup_epochs > 0) {
+            // Warm-up at alpha = 0 so theta starts the search trainable.
+            model.set_dropout_rates(std::vector<double>(dims, 0.0));
+            steps.train(*model.net, config.warmup_epochs, rng);
+        }
+        const std::uint64_t key =
+            mix_key(objective_digest(config.objective),
+                    static_cast<std::uint64_t>(config.epochs_per_iteration));
+        // Per-run nonce: batched candidate RNG streams derive from the
+        // context key, so without it two searches differing only in seed
+        // would reuse identical noise for identical (alpha, stamp) pairs.
+        // Never drawn at q == 1, which must replay the serial loop exactly.
+        return config.batch > 1 ? mix_key(key, rng()) : key;
+    };
+    hooks.resume = [&](const SearchCheckpoint& cp) {
         if (cp.model_digest != model_structure_digest(*model.net)) {
             throw std::runtime_error(
                 "checkpoint: model structure mismatch — the checkpoint at " +
                 config.checkpoint.path +
                 " was written for a different architecture");
         }
-        if (cp.trials_done > config.iterations) {
-            throw std::runtime_error(
-                "checkpoint: " + config.checkpoint.path + " holds " +
-                std::to_string(cp.trials_done) +
-                " trials but the configured budget is " +
-                std::to_string(config.iterations));
-        }
         restore_model(*model.net, cp.model_bits);
         restore_model_rngs(*model.net, cp.model_rngs);
-        bo.import_state(cp.bo);
-        rng.set_state(cp.run_rng);
-        context.key = cp.context_key;
-        context.stamp = cp.context_stamp;
-        done = cp.trials_done;
-        resumed = done;
-        log_info() << "BayesFT resumed from " << config.checkpoint.path
-                   << " at trial " << done << "/" << config.iterations;
-    } else {
-        if (config.warmup_epochs > 0) {
-            // Warm-up at alpha = 0 so theta starts the search trainable.
-            model.set_dropout_rates(std::vector<double>(dims, 0.0));
-            nn::TrainConfig warmup = config.train;
-            warmup.epochs = config.warmup_epochs;
-            nn::train_classifier(*model.net, train_set.images,
-                                 train_set.labels, warmup, rng);
-        }
-        context.key = objective_digest(config.objective);
-        context.key = mix_key(context.key,
-                              static_cast<std::uint64_t>(
-                                  config.epochs_per_iteration));
-        if (q > 1) {
-            // Per-run nonce: batched candidate RNG streams derive from the
-            // context key, so without this two searches differing only in
-            // seed would reuse identical noise for identical (alpha, stamp)
-            // pairs.  Never drawn at q == 1, which must replay the serial
-            // loop exactly.
-            context.key = mix_key(context.key, rng());
-        }
-    }
-
-    EngineConfig engine_config;
-    engine_config.threads = config.eval_threads;
-    engine_config.resilience = config.resilience;
-    // Crash isolation and distributed workers never apply here (evolving
-    // theta cannot cross a child pipe); the in-process guards — timeout
-    // classification, retries with state rollback, quarantine — carry the
-    // fault tolerance.
-    engine_config.resilience.isolate = false;
-    engine_config.workers = 0;
-    EvaluationEngine engine(engine_config);
-    // Alg. 1 lines 5-9 for one candidate: continue training theta under the
-    // candidate dropout configuration, then score the Monte-Carlo
-    // fault-marginalized utility (Eq. 4) on held-out data — under whatever
-    // FaultModel set the objective configures (drift by default).
-    const CandidateEvaluator evaluator =
-        [&](models::ModelHandle& candidate, const Alpha&, Rng& r) {
-            nn::train_classifier(*candidate.net, train_set.images,
-                                 train_set.labels, epoch_config, r);
-            return fault_utility(*candidate.net, validation_set.images,
-                                 validation_set.labels, config.objective, r);
-        };
-
-    const auto write_checkpoint = [&]() {
-        SearchCheckpoint cp;
-        cp.run_id = use_gp ? "bayesft_search" : "random_search";
-        cp.build = build_stamp();
-        cp.space_digest = space.digest();
-        cp.scenario_digest = scenario_digest;
-        cp.context_key = context.key;
-        cp.context_stamp = context.stamp;
-        cp.trials_done = done;
-        cp.run_rng = rng.state();
-        cp.bo = bo.export_state();
+    };
+    hooks.save = [&](SearchCheckpoint& cp) {
         cp.model_bits = snapshot_model(*model.net);
         cp.model_rngs = snapshot_model_rngs(*model.net);
         cp.model_digest = model_structure_digest(*model.net);
-        save_checkpoint(cp, config.checkpoint.path);
     };
-
-    std::size_t new_trials = 0;
-    while (done < config.iterations) {
-        const std::size_t group = std::min(q, config.iterations - done);
-        std::vector<bayesopt::Point> alphas;
-        if (use_gp) {
-            alphas = bo.suggest_batch(group);
-        } else {
-            alphas.reserve(group);
-            for (std::size_t j = 0; j < group; ++j) {
-                // Typed uniform sampling; for the all-continuous dropout
-                // space this draws the same stream BoxBounds::sample drew.
-                alphas.push_back(space.encode(space.sample(rng)));
-            }
-        }
+    hooks.evaluate = [&](const std::vector<bayesopt::Point>& alphas,
+                         EvalContext& context) {
         const BatchOutcome outcome = engine.evaluate_batch(
             model, alphas, evaluator, rng, context, /*adopt_winner=*/true);
-        bo.observe_batch(alphas, outcome.utilities, outcome.statuses);
-        for (std::size_t j = 0; j < group; ++j) {
-            log_debug() << "BayesFT iter " << (done + j) << " utility "
-                        << outcome.utilities[j];
-        }
-        done += group;
-        new_trials += group;
         ++context.stamp;  // theta advanced: cached utilities are stale
-        if (config.checkpoint.enabled()) {
-            write_checkpoint();
-            if (config.checkpoint.stop_after != 0 &&
-                new_trials >= config.checkpoint.stop_after &&
-                done < config.iterations) {
-                // Interrupted at a trial-group boundary: the boundary
-                // checkpoint is on disk, the winner stays uninstalled.
-                BayesFTResult partial;
-                const auto best = bo.best();
-                partial.best_alpha = best->x;
-                partial.best_utility = best->y;
-                partial.trials = bo.trials();
-                partial.trial_points = describe_trials(space, partial.trials);
-                partial.engine_cache_hits = engine.cache_hits();
-                partial.completed = false;
-                partial.resumed_trials = resumed;
-                return partial;
-            }
-        }
-    }
+        return outcome;
+    };
+    const SearchOutcome search = run_search_loop(space, settings, hooks, rng);
 
     BayesFTResult result;
-    const auto best = bo.best();
-    result.best_alpha = best->x;
-    result.best_utility = best->y;
-    result.trials = bo.trials();
-    result.trial_points = describe_trials(space, result.trials);
+    result.best_alpha = search.best.x;
+    result.best_utility = search.best.y;
+    result.trials = search.trials;
+    for (const bayesopt::Trial& trial : result.trials) {
+        result.trial_points.push_back(space.describe(space.decode(trial.x)));
+    }
     result.engine_cache_hits = engine.cache_hits();
-    result.resumed_trials = resumed;
+    result.completed = search.completed;
+    result.resumed_trials = search.resumed_trials;
+    if (!result.completed) return result;  // the winner stays uninstalled
 
     // Install the winner and fine-tune theta under it.
     model.set_dropout_rates(result.best_alpha);
     if (config.final_epochs > 0) {
-        nn::TrainConfig final_config = config.train;
-        final_config.epochs = config.final_epochs;
-        nn::train_classifier(*model.net, train_set.images, train_set.labels,
-                             final_config, rng);
+        steps.train(*model.net, config.final_epochs, rng);
     }
     return result;
+}
+
+/// A classifier's steps: SGD on cross-entropy with config.train's recipe,
+/// scored by the fault-marginalized accuracy (or negative loss).
+ThetaSteps classifier_steps(const data::Dataset& train_set,
+                            const data::Dataset& validation_set,
+                            const BayesFTConfig& config) {
+    return {[&](nn::Module& net, std::size_t epochs, Rng& rng) {
+                nn::TrainConfig train = config.train;
+                train.epochs = epochs;
+                nn::train_classifier(net, train_set.images, train_set.labels,
+                                     train, rng);
+            },
+            [&](nn::Module& net, Rng& rng) {
+                return fault_utility(net, validation_set.images,
+                                     validation_set.labels, config.objective,
+                                     rng);
+            }};
 }
 
 }  // namespace
@@ -254,16 +180,41 @@ BayesFTResult bayesft_search(models::ModelHandle& model,
                              const data::Dataset& train_set,
                              const data::Dataset& validation_set,
                              const BayesFTConfig& config, Rng& rng) {
-    return run_search(model, train_set, validation_set, config, rng,
-                      /*use_gp=*/true);
+    return evolving_search(model,
+                           classifier_steps(train_set, validation_set, config),
+                           config, rng, /*use_gp=*/true);
+}
+
+BayesFTResult bayesft_search(models::ModelHandle& model,
+                             const detect::GridDetector& detector,
+                             const data::DetectionDataset& train_scenes,
+                             const data::DetectionDataset& validation_scenes,
+                             const BayesFTConfig& config, Rng& rng) {
+    const ThetaSteps steps{
+        [&](nn::Module& net, std::size_t epochs, Rng& r) {
+            const detect::DetectorTrainConfig train{
+                .epochs = epochs,
+                .batch_size = config.train.batch_size,
+                .learning_rate = config.train.learning_rate};
+            detector.train_with(net, train_scenes.images, train_scenes.boxes,
+                                train, r);
+        },
+        [&](nn::Module& net, Rng& r) {
+            return fault_utility(net, config.objective, r, [&](nn::Module& m) {
+                return detector.evaluate_map_with(m, validation_scenes.images,
+                                                  validation_scenes.boxes);
+            });
+        }};
+    return evolving_search(model, steps, config, rng, /*use_gp=*/true);
 }
 
 BayesFTResult random_search(models::ModelHandle& model,
                             const data::Dataset& train_set,
                             const data::Dataset& validation_set,
                             const BayesFTConfig& config, Rng& rng) {
-    return run_search(model, train_set, validation_set, config, rng,
-                      /*use_gp=*/false);
+    return evolving_search(model,
+                           classifier_steps(train_set, validation_set, config),
+                           config, rng, /*use_gp=*/false);
 }
 
 }  // namespace bayesft::core

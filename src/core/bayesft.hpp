@@ -10,7 +10,7 @@
 // the typed mixed search space (docs/search-space.md) — bit-identical to
 // the historical raw-vector path.  For searching architecture dimensions
 // (norm, activation, depth, widths) jointly with dropout, see
-// core/archsearch.hpp.
+// core/archsearch.hpp; both run on the one loop in core/search_loop.hpp.
 
 #include <cstdint>
 #include <string>
@@ -20,6 +20,8 @@
 #include "core/objective.hpp"
 #include "core/persist.hpp"
 #include "data/dataset.hpp"
+#include "data/pedestrians.hpp"
+#include "detect/detector.hpp"
 #include "models/zoo.hpp"
 #include "nn/trainer.hpp"
 
@@ -103,6 +105,17 @@ struct BayesFTResult {
 BayesFTResult bayesft_search(models::ModelHandle& model,
                              const data::Dataset& train_set,
                              const data::Dataset& validation_set,
+                             const BayesFTConfig& config, Rng& rng);
+
+/// Algorithm 1 on the Fig. 3(j) grid detector.  `model` holds the searched
+/// network (e.g. a clone of detector.network()); `detector` trains whichever
+/// network it is handed — a replica when batched — with Adam at
+/// config.train's batch size and learning rate, and the utility is the
+/// fault-marginalized mAP on `validation_scenes`.
+BayesFTResult bayesft_search(models::ModelHandle& model,
+                             const detect::GridDetector& detector,
+                             const data::DetectionDataset& train_scenes,
+                             const data::DetectionDataset& validation_scenes,
                              const BayesFTConfig& config, Rng& rng);
 
 /// Random-search ablation: identical protocol but alpha_t is sampled

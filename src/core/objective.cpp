@@ -11,6 +11,20 @@ namespace bayesft::core {
 double fault_utility(nn::Module& model, const Tensor& images,
                      const std::vector<int>& labels,
                      const ObjectiveConfig& config, Rng& rng) {
+    return fault_utility(model, config, rng, [&](nn::Module& m) {
+        switch (config.metric) {
+            case ObjectiveMetric::kAccuracy:
+                return nn::evaluate_accuracy(m, images, labels);
+            case ObjectiveMetric::kNegLoss:
+                return -nn::evaluate_loss(m, images, labels);
+        }
+        throw std::logic_error("fault_utility: bad metric");
+    });
+}
+
+double fault_utility(nn::Module& model, const ObjectiveConfig& config,
+                     Rng& rng,
+                     const std::function<double(nn::Module&)>& metric) {
     if ((config.sigmas.empty() && config.faults.empty()) ||
         config.mc_samples == 0) {
         throw std::invalid_argument("fault_utility: empty configuration");
@@ -23,18 +37,7 @@ double fault_utility(nn::Module& model, const Tensor& images,
     // can fan out over per-thread replicas (num_threads 0 = pool width).
     const auto score = [&](const fault::FaultModel& fault) {
         return fault::evaluate_metric_under_faults(
-                   model, fault, config.mc_samples, rng,
-                   [&](nn::Module& m) {
-                       switch (config.metric) {
-                           case ObjectiveMetric::kAccuracy:
-                               return nn::evaluate_accuracy(m, images,
-                                                            labels);
-                           case ObjectiveMetric::kNegLoss:
-                               return -nn::evaluate_loss(m, images, labels);
-                       }
-                       throw std::logic_error("fault_utility: bad metric");
-                   },
-                   0)
+                   model, fault, config.mc_samples, rng, metric, 0)
             .mean_accuracy;
     };
 

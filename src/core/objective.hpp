@@ -10,6 +10,7 @@
 // unchanged.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -64,6 +65,12 @@ struct ObjectiveConfig {
 double fault_utility(nn::Module& model, const Tensor& images,
                      const std::vector<int>& labels,
                      const ObjectiveConfig& config, Rng& rng);
+
+/// fault_utility with a caller-supplied metric (e.g. a detector's mAP) in
+/// place of `config.metric`; it scores the per-thread replica it is handed.
+double fault_utility(nn::Module& model, const ObjectiveConfig& config,
+                     Rng& rng,
+                     const std::function<double(nn::Module&)>& metric);
 
 /// Thin alias from the drift-only era: see fault_utility.
 inline double drift_utility(nn::Module& model, const Tensor& images,

@@ -98,6 +98,19 @@ public:
         return out;
     }
 
+    /// record() with exactly `count` tokens after the key: a missing or
+    /// extra token rejects the file, naming the record.
+    std::vector<std::string> record(const char* key, std::size_t count) {
+        std::vector<std::string> tokens = record(key);
+        if (tokens.size() != count + 1) {
+            fail(std::string("malformed '") + key + "' record", path_);
+        }
+        return tokens;
+    }
+
+    /// The payload of a single-value record ("key value").
+    std::string value(const char* key) { return record(key, 1)[1]; }
+
     /// Like record(), but the payload is the raw remainder of the line
     /// (free-form strings such as run_id may contain spaces).
     std::string text_record(const char* key) {
@@ -134,8 +147,7 @@ public:
     }
 
     RngState rng(const char* key) {
-        const std::vector<std::string> tokens = record(key);
-        if (tokens.size() != 7) fail("malformed RNG record", path_);
+        const std::vector<std::string> tokens = record(key, 6);
         RngState state;
         for (std::size_t i = 0; i < 4; ++i) {
             state.lanes[i] = hex(tokens[1 + i]);
@@ -147,8 +159,7 @@ public:
 
     void points(const char* key, std::vector<std::vector<double>>& rows,
                 std::vector<double>* values) {
-        const std::vector<std::string> header = record(key);
-        if (header.size() != 3) fail("malformed point-block header", path_);
+        const std::vector<std::string> header = record(key, 2);
         const std::uint64_t count = number(header[1]);
         const std::uint64_t dims = number(header[2]);
         if (count > (1ULL << 24) || dims > (1ULL << 16) ||
@@ -274,8 +285,7 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
     if (!in) fail("cannot open", path);
     Reader reader(in, path);
 
-    const std::vector<std::string> header = reader.record(kMagic);
-    if (header.size() != 2) fail("malformed header", path);
+    const std::vector<std::string> header = reader.record(kMagic, 1);
     const std::uint64_t version = reader.number(header[1]);
     if (version < SearchCheckpoint::kOldestReadableVersion ||
         version > SearchCheckpoint::kVersion) {
@@ -288,21 +298,16 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
     SearchCheckpoint checkpoint;
     checkpoint.run_id = reader.text_record("run_id");
     checkpoint.build = reader.text_record("build");
-    checkpoint.space_digest = reader.hex(reader.record("space_digest").at(1));
-    checkpoint.scenario_digest =
-        reader.hex(reader.record("scenario_digest").at(1));
-    checkpoint.context_key = reader.hex(reader.record("context_key").at(1));
-    checkpoint.context_stamp =
-        reader.number(reader.record("context_stamp").at(1));
-    checkpoint.trials_done =
-        reader.number(reader.record("trials_done").at(1));
+    checkpoint.space_digest = reader.hex(reader.value("space_digest"));
+    checkpoint.scenario_digest = reader.hex(reader.value("scenario_digest"));
+    checkpoint.context_key = reader.hex(reader.value("context_key"));
+    checkpoint.context_stamp = reader.number(reader.value("context_stamp"));
+    checkpoint.trials_done = reader.number(reader.value("trials_done"));
     checkpoint.run_rng = reader.rng("run_rng");
     checkpoint.bo.rng = reader.rng("bo_rng");
-    checkpoint.bo.initial_used =
-        reader.number(reader.record("initial_used").at(1));
+    checkpoint.bo.initial_used = reader.number(reader.value("initial_used"));
     if (version >= 3) {
-        const std::vector<std::string> tr = reader.record("trust_region");
-        if (tr.size() != 5) fail("malformed trust_region record", path);
+        const std::vector<std::string> tr = reader.record("trust_region", 4);
         checkpoint.bo.trust_region.length = bits_double(reader.hex(tr[1]));
         checkpoint.bo.trust_region.successes = reader.number(tr[2]);
         checkpoint.bo.trust_region.failures = reader.number(tr[3]);
@@ -350,8 +355,7 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
         }
     }
     {
-        const std::vector<std::string> model = reader.record("model");
-        if (model.size() != 3) fail("malformed model header", path);
+        const std::vector<std::string> model = reader.record("model", 2);
         const std::uint64_t count = reader.number(model[1]);
         if (count > (1ULL << 26)) fail("implausible model size", path);
         checkpoint.model_digest = reader.hex(model[2]);
@@ -373,8 +377,8 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
         }
     }
     {
-        const std::vector<std::string> header = reader.record("model_rngs");
-        if (header.size() != 2) fail("malformed model_rngs header", path);
+        const std::vector<std::string> header =
+            reader.record("model_rngs", 1);
         const std::uint64_t count = reader.number(header[1]);
         if (count > (1ULL << 20)) fail("implausible model_rngs size", path);
         checkpoint.model_rngs.reserve(count);

@@ -50,21 +50,41 @@ std::size_t scaled(std::size_t full, bool quick) {
     return quick ? full / 4 : full;
 }
 
-/// RunOptions -> the engine's fault-tolerance knobs, shared by every
-/// search-running scenario (docs/robustness.md).
-ResilienceConfig resilience_from(const RunOptions& options) {
-    ResilienceConfig resilience;
-    resilience.isolate = options.isolate;
-    resilience.timeout_seconds = options.trial_timeout;
-    resilience.max_retries = options.max_retries;
-    return resilience;
+/// 16x16 synthetic digits drawn from `seed` (plus the run's seed offset).
+data::Dataset digits_task(std::size_t samples, std::uint64_t seed,
+                          const RunOptions& options) {
+    Rng data_rng(seed + options.seed);
+    data::DigitConfig config;
+    config.samples = scaled(samples, options.quick);
+    config.image_size = 16;
+    return data::synthetic_digits(config, data_rng);
 }
 
-/// RunOptions -> how quarantined trials reach the GP.  The CLI validates
-/// the string; anything unrecognized here falls back to the default.
-FailPolicy fail_policy_from(const RunOptions& options) {
-    return options.fail_policy == "exclude" ? FailPolicy::kExclude
-                                            : FailPolicy::kPenalize;
+/// digits_task split 75/25 on the stream `seed + 1`.
+data::TrainTestSplit digits_split(std::size_t samples, std::uint64_t seed,
+                                  const RunOptions& options) {
+    Rng split_rng(seed + 1 + options.seed);
+    return data::split(digits_task(samples, seed, options), 0.25, split_rng);
+}
+
+/// RunOptions -> a search config's engine, checkpoint and proposal knobs:
+/// the one place the CLI's search settings reach BayesFTConfig and
+/// ArchSearchConfig (the archsearch scenarios add `workers`).  The CLI
+/// validates --fail-policy; anything unrecognized here means "penalize".
+template <typename SearchConfig>
+void apply_search_options(SearchConfig& config, const RunOptions& options) {
+    config.batch = std::max<std::size_t>(1, options.batch);
+    config.eval_threads = options.threads;
+    config.checkpoint.path = options.checkpoint;
+    config.checkpoint.stop_after = options.stop_after;
+    config.resilience.isolate = options.isolate;
+    config.resilience.timeout_seconds = options.trial_timeout;
+    config.resilience.max_retries = options.max_retries;
+    config.bo.fail_policy = options.fail_policy == "exclude"
+                                ? FailPolicy::kExclude
+                                : FailPolicy::kPenalize;
+    config.bo.trust_region.enabled = options.trust_region;
+    config.bo.trust_region.activate_after = options.tr_after;
 }
 
 /// Zips a BO trial history with its search-produced decoded-point strings
@@ -114,14 +134,7 @@ ExperimentConfig default_config(const RunOptions& options) {
     config.bayesft.warmup_epochs = options.quick ? 1 : 3;
     config.bayesft.final_epochs = options.quick ? 1 : 4;
     config.bayesft.max_dropout_rate = 0.5;
-    config.bayesft.batch = std::max<std::size_t>(1, options.batch);
-    config.bayesft.eval_threads = options.threads;
-    config.bayesft.checkpoint.path = options.checkpoint;
-    config.bayesft.checkpoint.stop_after = options.stop_after;
-    config.bayesft.resilience = resilience_from(options);
-    config.bayesft.bo.fail_policy = fail_policy_from(options);
-    config.bayesft.bo.trust_region.enabled = options.trust_region;
-    config.bayesft.bo.trust_region.activate_after = options.tr_after;
+    apply_search_options(config.bayesft, options);
 
     config.reram_v.adapt_epochs = 2;
     config.reram_v.device_sigma = 0.3;
@@ -162,13 +175,7 @@ RegistryResult run_variant_ablation(const std::string& name,
                                     const RunOptions& options) {
     Stopwatch watch;
     const std::uint64_t seed = options.seed;
-    Rng data_rng(11 + seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(1200, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(12 + seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(1200, 11, options);
 
     RegistryResult result;
     result.experiment = name;
@@ -297,15 +304,6 @@ RegistryResult run_classification_panel(
     return result;
 }
 
-data::Dataset digits_task(std::size_t samples, std::uint64_t seed,
-                          const RunOptions& options) {
-    Rng data_rng(seed + options.seed);
-    data::DigitConfig config;
-    config.samples = scaled(samples, options.quick);
-    config.image_size = 16;
-    return data::synthetic_digits(config, data_rng);
-}
-
 data::Dataset objects_task(std::size_t samples, std::uint64_t seed,
                            const RunOptions& options) {
     Rng data_rng(seed + options.seed);
@@ -431,105 +429,52 @@ RegistryResult run_toy(const RunOptions& options) {
 
 // -------------------------------------------- Fig. 3(j) detection ----
 
-struct DetectionData {
-    Tensor train_images;
-    std::vector<std::vector<detect::Box>> train_boxes;
-    Tensor val_images;
-    std::vector<std::vector<detect::Box>> val_boxes;
-    Tensor test_images;
-    std::vector<std::vector<detect::Box>> test_boxes;
-};
-
-DetectionData make_detection_data(const RunOptions& options) {
-    Rng rng(101 + options.seed);
-    data::PedestrianConfig config;
-    config.samples = options.quick ? 120 : 360;
-    const data::DetectionDataset scenes =
-        data::synthetic_pedestrians(config, rng);
-
-    const std::size_t n = scenes.size();
-    const std::size_t row = scenes.images.size() / n;
-    const std::size_t train_n = n * 6 / 10;
-    const std::size_t val_n = n * 2 / 10;
-    auto slice = [&](std::size_t lo, std::size_t hi, Tensor& images,
-                     std::vector<std::vector<detect::Box>>& boxes) {
-        std::vector<std::size_t> shape = scenes.images.shape();
-        shape[0] = hi - lo;
-        images = Tensor(shape);
-        std::copy_n(scenes.images.data() + lo * row, (hi - lo) * row,
-                    images.data());
-        boxes.assign(scenes.boxes.begin() + static_cast<std::ptrdiff_t>(lo),
-                     scenes.boxes.begin() + static_cast<std::ptrdiff_t>(hi));
-    };
-    DetectionData data;
-    slice(0, train_n, data.train_images, data.train_boxes);
-    slice(train_n, train_n + val_n, data.val_images, data.val_boxes);
-    slice(train_n + val_n, n, data.test_images, data.test_boxes);
-    return data;
+/// Scenes [lo, hi) of `scenes` as a set of their own.
+data::DetectionDataset slice_scenes(const data::DetectionDataset& scenes,
+                                    std::size_t lo, std::size_t hi) {
+    const std::size_t row = scenes.images.size() / scenes.size();
+    std::vector<std::size_t> shape = scenes.images.shape();
+    shape[0] = hi - lo;
+    data::DetectionDataset slice;
+    slice.images = Tensor(shape);
+    std::copy_n(scenes.images.data() + lo * row, (hi - lo) * row,
+                slice.images.data());
+    slice.boxes.assign(
+        scenes.boxes.begin() + static_cast<std::ptrdiff_t>(lo),
+        scenes.boxes.begin() + static_cast<std::ptrdiff_t>(hi));
+    return slice;
 }
 
-double map_under_fault(detect::GridDetector& detector, const Tensor& images,
-                       const std::vector<std::vector<detect::Box>>& boxes,
+/// mAP of `net`, decoded by `detector`, averaged over fault draws.
+double map_under_fault(const detect::GridDetector& detector, nn::Module& net,
+                       const data::DetectionDataset& scenes,
                        const fault::FaultModel& fault, std::size_t samples,
                        Rng& rng) {
     return fault::evaluate_metric_under_faults(
-               detector.network(), fault, samples, rng,
+               net, fault, samples, rng,
                [&](nn::Module& m) {
-                   return detector.evaluate_map_with(m, images, boxes);
+                   return detector.evaluate_map_with(m, scenes.images,
+                                                     scenes.boxes);
                },
                0)
         .mean_accuracy;
 }
 
-double map_under_drift(detect::GridDetector& detector, const Tensor& images,
-                       const std::vector<std::vector<detect::Box>>& boxes,
-                       double sigma, std::size_t samples, Rng& rng) {
-    return map_under_fault(detector, images, boxes,
-                           fault::LogNormalDrift(sigma), samples, rng);
-}
-
-/// Algorithm 1 applied to the detector: alternate short training runs with
-/// BO updates on the per-stage dropout rates, utility = drift-averaged mAP.
-void bayesft_detector_search(detect::GridDetector& detector,
-                             const DetectionData& data,
-                             const RunOptions& options, Rng& rng) {
-    const std::size_t dims = detector.dropout_sites().size();
-    bayesopt::BayesOptConfig bo_config;
-    bo_config.initial_random_trials = 3;
-    bayesopt::BayesOpt bo(
-        bayesopt::BoxBounds::uniform(dims, 0.0, 0.6),
-        std::make_shared<bayesopt::ArdSquaredExponential>(dims, 4.0),
-        std::make_unique<bayesopt::PosteriorMean>(), bo_config, rng.split());
-
-    detect::DetectorTrainConfig step;
-    step.epochs = options.quick ? 4 : 10;
-    const std::size_t iterations = options.quick ? 3 : 7;
-    const std::size_t mc_samples = options.quick ? 1 : 2;
-
-    for (std::size_t t = 0; t < iterations; ++t) {
-        const bayesopt::Point alpha = bo.suggest();
-        for (std::size_t i = 0; i < dims; ++i) {
-            detector.dropout_sites()[i]->set_rate(alpha[i]);
-        }
-        detector.train(data.train_images, data.train_boxes, step, rng);
-        double utility = 0.0;
-        for (double sigma : {0.2, 0.4}) {
-            utility += map_under_drift(detector, data.val_images,
-                                       data.val_boxes, sigma, mc_samples,
-                                       rng);
-        }
-        bo.observe(alpha, utility / 2.0);
-    }
-    const auto best = bo.best();
-    for (std::size_t i = 0; i < dims; ++i) {
-        detector.dropout_sites()[i]->set_rate(best->x[i]);
-    }
-    detector.train(data.train_images, data.train_boxes, step, rng);
-}
-
 RegistryResult run_fig3j(const RunOptions& options) {
     Stopwatch watch;
-    const DetectionData data = make_detection_data(options);
+    Rng data_rng(101 + options.seed);
+    data::PedestrianConfig scene_config;
+    scene_config.samples = options.quick ? 120 : 360;
+    const data::DetectionDataset scenes =
+        data::synthetic_pedestrians(scene_config, data_rng);
+    const std::size_t n = scenes.size();
+    const std::size_t train_n = n * 6 / 10;
+    const std::size_t val_n = n * 2 / 10;
+    const data::DetectionDataset train = slice_scenes(scenes, 0, train_n);
+    const data::DetectionDataset val =
+        slice_scenes(scenes, train_n, train_n + val_n);
+    const data::DetectionDataset test =
+        slice_scenes(scenes, train_n + val_n, n);
     const std::vector<double> sigmas{0.0, 0.2, 0.4, 0.6, 0.8};
     const std::size_t eval_samples = options.quick ? 2 : 4;
 
@@ -538,26 +483,53 @@ RegistryResult run_fig3j(const RunOptions& options) {
     detect::GridDetector erm(detector_config, erm_rng);
     detect::DetectorTrainConfig train_config;
     train_config.epochs = options.quick ? 15 : 60;
-    erm.train(data.train_images, data.train_boxes, train_config, erm_rng);
+    erm.train(train.images, train.boxes, train_config, erm_rng);
 
+    // Algorithm 1 on the detector: short training runs alternate with BO
+    // updates of the per-stage dropout rates; the utility is the mAP
+    // averaged over drift sigmas 0.2 and 0.4.  The searched network is a
+    // clone of the fresh detector's, which stays the decoder.
     Rng bft_rng(112 + options.seed);
     detect::GridDetector bft(detector_config, bft_rng);
-    bayesft_detector_search(bft, data, options, bft_rng);
+    models::ModelHandle model{bft.network().clone(), {}, "grid_detector"};
+    model.dropout_sites = nn::collect_dropout_layers(*model.net);
+    const detect::DetectorTrainConfig step;
+    BayesFTConfig config;
+    config.iterations = options.quick ? 3 : 7;
+    config.epochs_per_iteration = options.quick ? 4 : 10;
+    config.warmup_epochs = 0;
+    config.final_epochs = config.epochs_per_iteration;
+    config.train.batch_size = step.batch_size;
+    config.train.learning_rate = step.learning_rate;
+    config.objective.sigmas = {0.2, 0.4};
+    config.objective.mc_samples = options.quick ? 1 : 2;
+    config.bo.initial_random_trials = 3;
+    apply_search_options(config, options);
+    const BayesFTResult search =
+        bayesft_search(model, bft, train, val, config, bft_rng);
 
     RegistryResult result;
     result.experiment = "fig3j_detection";
     result.x_label = "sigma";
+    result.trials = to_trial_records(search.trials, search.trial_points);
+    result.resumed_trials = search.resumed_trials;
+    result.search_completed = search.completed;
+    if (!search.completed) {
+        // Checkpointed out at stop_after: the trial log is the result.
+        result.seconds = watch.seconds();
+        return result;
+    }
     result.xs = sigmas;
+    result.bayesft_alpha = search.best_alpha;
     NamedCurve erm_curve{"ERM mAP", {}};
     NamedCurve bft_curve{"BayesFT mAP", {}};
     Rng eval_rng(113 + options.seed);
     for (double sigma : sigmas) {
-        erm_curve.values.push_back(
-            map_under_drift(erm, data.test_images, data.test_boxes, sigma,
-                            eval_samples, eval_rng));
-        bft_curve.values.push_back(
-            map_under_drift(bft, data.test_images, data.test_boxes, sigma,
-                            eval_samples, eval_rng));
+        const fault::LogNormalDrift drift(sigma);
+        erm_curve.values.push_back(map_under_fault(
+            erm, erm.network(), test, drift, eval_samples, eval_rng));
+        bft_curve.values.push_back(map_under_fault(
+            bft, *model.net, test, drift, eval_samples, eval_rng));
     }
     result.curves.push_back(std::move(erm_curve));
     result.curves.push_back(std::move(bft_curve));
@@ -586,13 +558,7 @@ RegistryResult run_fault_sweep(const std::string& name,
                                const RunOptions& options) {
     Stopwatch watch;
     const std::uint64_t seed = options.seed;
-    Rng data_rng(151 + seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(1200, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(152 + seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(1200, 151, options);
 
     const models::MlpOptions base = base_mlp_options();
     std::vector<Variant> variants;
@@ -648,13 +614,7 @@ RegistryResult run_fault_search(const std::string& name,
                                 const RunOptions& options) {
     Stopwatch watch;
     const std::uint64_t seed = options.seed;
-    Rng data_rng(161 + seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(800, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(162 + seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(800, 161, options);
 
     Rng erm_rng(163 + seed);
     models::ModelHandle erm = models::make_mlp(base_mlp_options(), erm_rng);
@@ -675,14 +635,7 @@ RegistryResult run_fault_search(const std::string& name,
     config.warmup_epochs = options.quick ? 1 : 2;
     config.final_epochs = options.quick ? 1 : 2;
     config.max_dropout_rate = 0.5;
-    config.batch = std::max<std::size_t>(1, options.batch);
-    config.eval_threads = options.threads;
-    config.checkpoint.path = options.checkpoint;
-    config.checkpoint.stop_after = options.stop_after;
-    config.resilience = resilience_from(options);
-    config.bo.fail_policy = fail_policy_from(options);
-    config.bo.trust_region.enabled = options.trust_region;
-    config.bo.trust_region.activate_after = options.tr_after;
+    apply_search_options(config, options);
     const BayesFTResult search =
         bayesft_search(bft, parts.train, parts.test, config, bft_rng);
 
@@ -734,23 +687,10 @@ RegistryResult run_fault_detection(const RunOptions& options) {
     const data::DetectionDataset scenes =
         data::synthetic_pedestrians(config, rng);
 
-    const std::size_t n = scenes.size();
-    const std::size_t row = scenes.images.size() / n;
-    const std::size_t train_n = n * 7 / 10;
-    auto slice = [&](std::size_t lo, std::size_t hi, Tensor& images,
-                     std::vector<std::vector<detect::Box>>& boxes) {
-        std::vector<std::size_t> shape = scenes.images.shape();
-        shape[0] = hi - lo;
-        images = Tensor(shape);
-        std::copy_n(scenes.images.data() + lo * row, (hi - lo) * row,
-                    images.data());
-        boxes.assign(scenes.boxes.begin() + static_cast<std::ptrdiff_t>(lo),
-                     scenes.boxes.begin() + static_cast<std::ptrdiff_t>(hi));
-    };
-    Tensor train_images, test_images;
-    std::vector<std::vector<detect::Box>> train_boxes, test_boxes;
-    slice(0, train_n, train_images, train_boxes);
-    slice(train_n, n, test_images, test_boxes);
+    const std::size_t train_n = scenes.size() * 7 / 10;
+    const data::DetectionDataset train = slice_scenes(scenes, 0, train_n);
+    const data::DetectionDataset test =
+        slice_scenes(scenes, train_n, scenes.size());
 
     detect::DetectorTrainConfig train_config;
     train_config.epochs = options.quick ? 10 : 40;
@@ -758,12 +698,12 @@ RegistryResult run_fault_detection(const RunOptions& options) {
     Rng erm_rng(172 + seed);
     detect::GridDetectorConfig detector_config;
     detect::GridDetector erm(detector_config, erm_rng);
-    erm.train(train_images, train_boxes, train_config, erm_rng);
+    erm.train(train.images, train.boxes, train_config, erm_rng);
 
     Rng drop_rng(173 + seed);
     detect::GridDetector dropped(detector_config, drop_rng);
     for (auto* site : dropped.dropout_sites()) site->set_rate(0.15);
-    dropped.train(train_images, train_boxes, train_config, drop_rng);
+    dropped.train(train.images, train.boxes, train_config, drop_rng);
 
     RegistryResult result;
     result.experiment = "faults_fig3j_variation";
@@ -776,9 +716,9 @@ RegistryResult run_fault_detection(const RunOptions& options) {
     for (double sigma : result.xs) {
         const fault::GaussianVariationFault variation(sigma);
         erm_curve.values.push_back(map_under_fault(
-            erm, test_images, test_boxes, variation, mc_samples, eval_rng));
+            erm, erm.network(), test, variation, mc_samples, eval_rng));
         drop_curve.values.push_back(
-            map_under_fault(dropped, test_images, test_boxes, variation,
+            map_under_fault(dropped, dropped.network(), test, variation,
                             mc_samples, eval_rng));
     }
     result.curves.push_back(std::move(erm_curve));
@@ -793,13 +733,7 @@ RegistryResult run_fault_detection(const RunOptions& options) {
 RegistryResult run_composed_deploy(const RunOptions& options) {
     Stopwatch watch;
     const std::uint64_t seed = options.seed;
-    Rng data_rng(181 + seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(1000, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(182 + seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(1000, 181, options);
 
     Rng rng(183 + seed);
     models::MlpOptions model_options = base_mlp_options();
@@ -857,13 +791,7 @@ RegistryResult run_fixed_point_inference(const RunOptions& options) {
         mode = nn::InferenceMode::kInt8;  // the scenario's default width
     }
 
-    Rng data_rng(191 + seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(1000, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(192 + seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(1000, 191, options);
 
     Rng rng(193 + seed);
     models::MlpOptions model_options = base_mlp_options();
@@ -914,13 +842,7 @@ RegistryResult run_fixed_point_inference(const RunOptions& options) {
 RegistryResult run_dac12_deploy(const RunOptions& options) {
     Stopwatch watch;
     const std::uint64_t seed = options.seed;
-    Rng data_rng(201 + seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(1000, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(202 + seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(1000, 201, options);
 
     Rng rng(203 + seed);
     models::MlpOptions model_options = base_mlp_options();
@@ -1003,28 +925,22 @@ RegistryResult run_archsearch(
     Rng split_rng(seed_base + seed);
     const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
 
-    search_config.batch = std::max<std::size_t>(1, options.batch);
-    search_config.eval_threads = options.threads;
+    apply_search_options(search_config, options);
     search_config.workers = options.workers;
-    search_config.checkpoint.path = options.checkpoint;
-    search_config.checkpoint.stop_after = options.stop_after;
-    search_config.resilience = resilience_from(options);
-    search_config.bo.fail_policy = fail_policy_from(options);
-    search_config.bo.trust_region.enabled = options.trust_region;
-    search_config.bo.trust_region.activate_after = options.tr_after;
     Rng search_rng(seed_base + 1 + seed);
     const ArchSearchResult search = arch_search(
         family, parts.train, parts.test, search_config, search_rng);
 
+    RegistryResult result;
+    result.experiment = name;
+    result.x_label = x_label;
+    result.trials = arch_trial_records(family, search);
+    result.resumed_trials = search.resumed_trials;
+    result.search_completed = search.completed;
     if (!search.completed) {
-        RegistryResult partial;
-        partial.experiment = name;
-        partial.x_label = x_label;
-        partial.trials = arch_trial_records(family, search);
-        partial.resumed_trials = search.resumed_trials;
-        partial.search_completed = false;
-        partial.seconds = watch.seconds();
-        return partial;
+        // Checkpointed out at stop_after: the trial log is the result.
+        result.seconds = watch.seconds();
+        return result;
     }
 
     Rng baseline_rng(seed_base + 2 + seed);
@@ -1036,15 +952,10 @@ RegistryResult run_archsearch(
     nn::train_classifier(*erm.net, parts.train.images, parts.train.labels,
                          erm_train, baseline_rng);
 
-    RegistryResult result;
-    result.experiment = name;
-    result.x_label = x_label;
     result.xs = std::move(levels);
     // The decoded point is the result of record; bayesft_alpha stays empty
     // (it means per-site dropout rates, not encoded mixed coordinates).
     result.annotation = family.space.describe(search.best_point);
-    result.trials = arch_trial_records(family, search);
-    result.resumed_trials = search.resumed_trials;
     const std::size_t mc_samples = options.quick ? 2 : 4;
     Rng eval_rng(seed_base + 3 + seed);
     result.curves.push_back(
@@ -1075,12 +986,7 @@ ArchSearchConfig default_archsearch_config(const RunOptions& options) {
 /// fig2b/c/d axes searched jointly: MLP norm x activation x depth x
 /// per-layer dropout under drift, on synthetic digits.
 RegistryResult run_archsearch_mlp(const RunOptions& options) {
-    Rng data_rng(191 + options.seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(1000, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full =
-        data::synthetic_digits(digit_config, data_rng);
+    const data::Dataset full = digits_task(1000, 191, options);
 
     const models::ArchFamily family =
         models::mlp_arch_family(base_mlp_options(), /*max_hidden_layers=*/4,
@@ -1198,13 +1104,7 @@ RegistryResult run_toy_arch(const RunOptions& options) {
 /// GP-guided vs random search under the same trial budget, plus EI/UCB.
 RegistryResult run_bo_vs_random(const RunOptions& options) {
     Stopwatch watch;
-    Rng data_rng(131 + options.seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(1000, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(132 + options.seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(1000, 131, options);
 
     BayesFTConfig config;
     config.iterations = options.quick ? 3 : 10;
@@ -1253,13 +1153,7 @@ RegistryResult run_bo_vs_random(const RunOptions& options) {
 /// Noise of the Monte-Carlo utility estimate (Eq. 4) vs sample count T.
 RegistryResult run_mc_samples(const RunOptions& options) {
     Stopwatch watch;
-    Rng data_rng(141 + options.seed);
-    data::DigitConfig digit_config;
-    digit_config.samples = scaled(800, options.quick);
-    digit_config.image_size = 16;
-    const data::Dataset full = data::synthetic_digits(digit_config, data_rng);
-    Rng split_rng(142 + options.seed);
-    const data::TrainTestSplit parts = data::split(full, 0.25, split_rng);
+    const data::TrainTestSplit parts = digits_split(800, 141, options);
 
     Rng rng(143 + options.seed);
     models::ModelHandle model = models::make_mlp(base_mlp_options(), rng);
@@ -1357,7 +1251,7 @@ ExperimentRegistry make_builtin_registry() {
                   run_fig3i, /*checkpointable=*/true});
     registry.add({"fig3j_detection", "fig3",
                   "grid detector mAP vs drift (synthetic pedestrians)",
-                  run_fig3j});
+                  run_fig3j, /*checkpointable=*/true});
     registry.add({"faults_fig2a_stuckat", "faults",
                   "dropout ablation under SA0/SA1 stuck-at faults",
                   [](const RunOptions& options) {

@@ -126,8 +126,7 @@ struct ExperimentSpec {
     std::function<RegistryResult(const RunOptions&)> run;
     /// True when the scenario wires RunOptions::checkpoint/stop_after into
     /// its search driver; the CLI rejects --checkpoint for scenarios that
-    /// would silently ignore it (pure sweeps, the hand-rolled fig3j
-    /// detection loop, the multi-search ablation).
+    /// would silently ignore it (pure sweeps, the multi-search ablation).
     bool checkpointable = false;
     /// True when the scenario's candidate evaluations are self-contained
     /// (a pure function of the encoded point — the archsearch family) and

@@ -87,17 +87,24 @@ GridDetector::Targets GridDetector::encode_targets(
 double GridDetector::train(
     const Tensor& images, const std::vector<std::vector<Box>>& boxes_per_image,
     const DetectorTrainConfig& train_config, Rng& rng) {
+    return train_with(*net_, images, boxes_per_image, train_config, rng);
+}
+
+double GridDetector::train_with(
+    nn::Module& net, const Tensor& images,
+    const std::vector<std::vector<Box>>& boxes_per_image,
+    const DetectorTrainConfig& train_config, Rng& rng) const {
     const std::size_t n = images.dim(0);
     if (n != boxes_per_image.size() || n == 0) {
         throw std::invalid_argument("GridDetector::train: size mismatch");
     }
     const Targets targets = encode_targets(boxes_per_image);
-    nn::Adam opt(net_->parameters(), train_config.learning_rate);
+    nn::Adam opt(net.parameters(), train_config.learning_rate);
     const std::size_t batch = std::min(train_config.batch_size, n);
     const std::size_t row = images.size() / n;
     const std::size_t target_row = targets.values.size() / n;
 
-    net_->set_training(true);
+    net.set_training(true);
     double final_loss = 0.0;
     for (std::size_t epoch = 0; epoch < train_config.epochs; ++epoch) {
         const auto order = rng.permutation(n);
@@ -123,10 +130,10 @@ double GridDetector::train(
                             batch_weights.data() + (i - lo) * target_row);
             }
             opt.zero_grad();
-            const Tensor pred = net_->forward(batch_images);
+            const Tensor pred = net.forward(batch_images);
             const nn::LossResult loss =
                 nn::mse(pred, batch_targets, batch_weights);
-            net_->backward(loss.grad);
+            net.backward(loss.grad);
             opt.step();
             loss_sum += loss.value;
             ++batches;

@@ -63,6 +63,13 @@ public:
                  const std::vector<std::vector<Box>>& boxes_per_image,
                  const DetectorTrainConfig& train_config, Rng& rng);
 
+    /// train() on an arbitrary network of this architecture, e.g. a
+    /// search's per-candidate replica of the owned one.
+    double train_with(nn::Module& net, const Tensor& images,
+                      const std::vector<std::vector<Box>>& boxes_per_image,
+                      const DetectorTrainConfig& train_config,
+                      Rng& rng) const;
+
     /// Runs the network and decodes scored, NMS-filtered detections.
     std::vector<std::vector<Detection>> detect(const Tensor& images);
 

@@ -1,6 +1,7 @@
 // EvaluationEngine + experiment registry: serial bit-identity of the q = 1
-// path, memoization-cache behaviour, batch diversity, thread invariance of
-// batched search, and registry lookup/run.
+// path (classifier and fig3j's detector search), memoization-cache
+// behaviour, batch diversity, thread invariance of batched search, and
+// registry lookup/run.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,9 @@
 #include "core/objective.hpp"
 #include "core/registry.hpp"
 #include "data/toy.hpp"
+#include "detector_fixture.hpp"
+#include "fault/drift.hpp"
+#include "fault/evaluator.hpp"
 #include "models/zoo.hpp"
 #include "nn/trainer.hpp"
 #include "utils/logging.hpp"
@@ -148,6 +152,88 @@ TEST_F(EngineFixture, Q1BatchedSearchBitIdenticalToSerialLoop) {
     EXPECT_EQ(batched.best_utility, reference.best_utility);
     // Final weights must agree bit for bit as well.
     EXPECT_EQ(weights_of(*engine_model.net), weights_of(*reference_model.net));
+}
+
+/// fig3j's hand-rolled search before it moved onto the shared driver,
+/// reproduced verbatim bar the scale knobs: suggest -> install -> train
+/// `epochs` -> drift-averaged mAP at sigma 0.2 and 0.4 -> observe, then
+/// install the best rates and train once more.  The driver path
+/// (bayesft_search's detector overload) must match it bit for bit.
+std::vector<bayesopt::Trial> reference_detector_search(
+    detect::GridDetector& detector, const data::DetectionDataset& train,
+    const data::DetectionDataset& val, std::size_t iterations,
+    std::size_t epochs, std::size_t mc_samples, Rng& rng) {
+    const std::size_t dims = detector.dropout_sites().size();
+    bayesopt::BayesOptConfig bo_config;
+    bo_config.initial_random_trials = 3;
+    bayesopt::BayesOpt bo(
+        bayesopt::BoxBounds::uniform(dims, 0.0, 0.6),
+        std::make_shared<bayesopt::ArdSquaredExponential>(dims, 4.0),
+        std::make_unique<bayesopt::PosteriorMean>(), bo_config, rng.split());
+
+    detect::DetectorTrainConfig step;
+    step.epochs = epochs;
+    const auto map_under_drift = [&](double sigma) {
+        return fault::evaluate_metric_under_faults(
+                   detector.network(), fault::LogNormalDrift(sigma),
+                   mc_samples, rng,
+                   [&](nn::Module& m) {
+                       return detector.evaluate_map_with(m, val.images,
+                                                         val.boxes);
+                   },
+                   0)
+            .mean_accuracy;
+    };
+    for (std::size_t t = 0; t < iterations; ++t) {
+        const bayesopt::Point alpha = bo.suggest();
+        for (std::size_t i = 0; i < dims; ++i) {
+            detector.dropout_sites()[i]->set_rate(alpha[i]);
+        }
+        detector.train(train.images, train.boxes, step, rng);
+        double utility = 0.0;
+        for (double sigma : {0.2, 0.4}) utility += map_under_drift(sigma);
+        bo.observe(alpha, utility / 2.0);
+    }
+    const auto best = bo.best();
+    for (std::size_t i = 0; i < dims; ++i) {
+        detector.dropout_sites()[i]->set_rate(best->x[i]);
+    }
+    detector.train(train.images, train.boxes, step, rng);
+    return bo.trials();
+}
+
+TEST_F(EngineFixture, DetectorSearchOnDriverBitIdenticalToHandRolledLoop) {
+    const testing::DetectorScenes scenes = testing::small_detector_scenes();
+    const BayesFTConfig config =
+        testing::detector_search_config(/*batch=*/1, /*threads=*/1);
+    const detect::GridDetectorConfig detector_config;
+
+    Rng reference_rng(112);
+    detect::GridDetector reference(detector_config, reference_rng);
+    const std::vector<bayesopt::Trial> reference_trials =
+        reference_detector_search(reference, scenes.train, scenes.val,
+                                  config.iterations,
+                                  config.epochs_per_iteration,
+                                  config.objective.mc_samples, reference_rng);
+
+    Rng rng(112);
+    detect::GridDetector detector(detector_config, rng);
+    models::ModelHandle model = testing::searched_network(detector);
+    const BayesFTResult driven = bayesft_search(
+        model, detector, scenes.train, scenes.val, config, rng);
+
+    ASSERT_EQ(driven.trials.size(), reference_trials.size());
+    for (std::size_t t = 0; t < reference_trials.size(); ++t) {
+        EXPECT_EQ(driven.trials[t].x, reference_trials[t].x) << "trial " << t;
+        EXPECT_EQ(driven.trials[t].y, reference_trials[t].y) << "trial " << t;
+    }
+    std::vector<double> reference_rates;
+    for (const nn::Dropout* site : reference.dropout_sites()) {
+        reference_rates.push_back(site->rate());
+    }
+    EXPECT_EQ(driven.best_alpha, reference_rates);
+    EXPECT_EQ(model.dropout_rates(), reference_rates);
+    EXPECT_EQ(weights_of(*model.net), weights_of(reference.network()));
 }
 
 TEST_F(EngineFixture, BatchedSearchInvariantToEngineThreadCount) {
@@ -317,6 +403,26 @@ TEST(Registry, RunsToyExperimentQuick) {
     const ResultTable table = result.to_table("toy", 100.0);
     EXPECT_EQ(table.columns().size(), 3U);
     EXPECT_EQ(table.row_count(), result.xs.size());
+}
+
+TEST(Registry, DetectionScenarioIsCheckpointableAndLogsEveryTrial) {
+    set_log_level(LogLevel::Error);
+    const ExperimentSpec* spec =
+        ExperimentRegistry::instance().find("fig3j_detection");
+    ASSERT_NE(spec, nullptr);
+    EXPECT_TRUE(spec->checkpointable);
+    RunOptions options;
+    options.quick = true;
+    const RegistryResult result = spec->run(options);
+    ASSERT_EQ(result.trials.size(), 3U);  // the quick run's iterations
+    for (std::size_t i = 0; i < result.trials.size(); ++i) {
+        EXPECT_EQ(result.trials[i].index, i);
+        EXPECT_EQ(result.trials[i].status, "ok");
+        EXPECT_FALSE(result.trials[i].point.empty());
+    }
+    EXPECT_EQ(result.bayesft_alpha.size(), 3U);
+    ASSERT_EQ(result.curves.size(), 2U);
+    EXPECT_EQ(result.curves[1].label, "BayesFT mAP");
 }
 
 TEST(Registry, BatchOptionReachesBayesFTSearch) {

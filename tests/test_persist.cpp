@@ -1,11 +1,12 @@
 // Run persistence: checkpoint file round trips (bit-exact doubles, digest
-// and version validation, corruption rejection), engine memo-cache
-// export/import, model snapshot/restore, the JSONL run store + report
-// summaries, and the kill/resume torture tests — a search interrupted at
-// every trial boundary and resumed from its checkpoint must produce final
-// results (best point, GP trial history, model weights) bitwise equal to
-// an uninterrupted run, for bayesft_search and arch_search at 1 and 4
-// evaluation threads (docs/checkpointing.md).
+// and version validation, corruption rejection, a fixed-RNG mutation
+// corpus over live and legacy files), engine memo-cache export/import,
+// model snapshot/restore, the JSONL run store + report summaries, and the
+// kill/resume torture tests — a search interrupted at every trial boundary
+// and resumed from its checkpoint must produce final results (best point,
+// GP trial history, model weights) bitwise equal to an uninterrupted run,
+// for bayesft_search (classifier and fig3j's detector) and arch_search at
+// 1 and 4 evaluation threads (docs/checkpointing.md).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/archsearch.hpp"
@@ -22,6 +25,7 @@
 #include "core/persist.hpp"
 #include "core/runstore.hpp"
 #include "data/toy.hpp"
+#include "detector_fixture.hpp"
 #include "models/zoo.hpp"
 #include "utils/logging.hpp"
 
@@ -33,6 +37,17 @@ namespace fs = std::filesystem;
 std::string temp_path(const std::string& name) {
     return (fs::temp_directory_path() / ("bayesft_persist_" + name))
         .string();
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& text) {
+    std::ofstream out(path);
+    out << text;
 }
 
 std::vector<float> weights_of(nn::Module& net) {
@@ -239,6 +254,32 @@ TEST(CheckpointFileTest, LoadRejectsMissingCorruptAndForeignVersions) {
         out << text.substr(0, text.size() / 2);
     }
     EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+
+    // A single-value record with its value missing or with extra tokens
+    // rejects the file, naming the record and the path.
+    save_checkpoint(sample_checkpoint(), path);
+    const std::string good = read_file(path);
+    for (const std::string key :
+         {"space_digest", "scenario_digest", "context_key", "context_stamp",
+          "trials_done", "initial_used"}) {
+        const std::size_t start = good.find("\n" + key + " ") + 1;
+        ASSERT_NE(start, 0U) << key;
+        const std::size_t end = good.find('\n', start);
+        for (const std::string& line :
+             {key, good.substr(start, end - start) + " 7"}) {
+            write_file(path, good.substr(0, start) + line + good.substr(end));
+            try {
+                load_checkpoint(path);
+                ADD_FAILURE() << "accepted '" << line << "'";
+            } catch (const std::runtime_error& error) {
+                const std::string what = error.what();
+                EXPECT_EQ(what.rfind("checkpoint: ", 0), 0U) << what;
+                EXPECT_NE(what.find("'" + key + "'"), std::string::npos)
+                    << what;
+                EXPECT_NE(what.find(path), std::string::npos) << what;
+            }
+        }
+    }
     fs::remove(path);
 }
 
@@ -667,6 +708,157 @@ TEST_F(ResumeTortureFixture, ArchSearchResumeBitIdenticalSerialAndBatched) {
             fs::remove(path);
         }
     }
+}
+
+// ------------------------------------------ kill/resume: detector ----
+
+TEST_F(ResumeTortureFixture, DetectorSearchResumeBitIdenticalSerialAndBatched) {
+    const testing::DetectorScenes scenes = testing::small_detector_scenes();
+    // fig3j's protocol: the searched network is a clone of a fresh
+    // detector's, trained and decoded through that detector.
+    const auto search = [&](const BayesFTConfig& config,
+                            std::vector<float>& weights) {
+        Rng rng(112);
+        detect::GridDetector detector(detect::GridDetectorConfig{}, rng);
+        models::ModelHandle model = testing::searched_network(detector);
+        const BayesFTResult result = bayesft_search(
+            model, detector, scenes.train, scenes.val, config, rng);
+        weights = weights_of(*model.net);
+        return result;
+    };
+    for (const auto& [batch, threads, tag] :
+         {std::tuple<std::size_t, std::size_t, const char*>{1, 1, "s"},
+          std::tuple<std::size_t, std::size_t, const char*>{2, 4, "b"}}) {
+        const BayesFTConfig config =
+            testing::detector_search_config(batch, threads);
+        std::vector<float> reference_weights;
+        const BayesFTResult reference = search(config, reference_weights);
+        const std::string path =
+            temp_path(std::string("detector_") + tag + ".ckpt");
+        for (std::size_t stop = 1; stop < config.iterations; ++stop) {
+            fs::remove(path);
+            BayesFTConfig interrupted = config;
+            interrupted.checkpoint.path = path;
+            interrupted.checkpoint.stop_after = stop;
+            std::vector<float> weights;
+            ASSERT_FALSE(search(interrupted, weights).completed);
+            ASSERT_TRUE(checkpoint_exists(path));
+            interrupted.checkpoint.stop_after = 0;
+            const BayesFTResult resumed = search(interrupted, weights);
+            EXPECT_TRUE(resumed.completed);
+            EXPECT_GE(resumed.resumed_trials, stop);
+            expect_same_trials(reference.trials, resumed.trials);
+            EXPECT_EQ(reference.trial_points, resumed.trial_points);
+            EXPECT_EQ(reference.best_alpha, resumed.best_alpha)
+                << tag << " stop=" << stop;
+            EXPECT_EQ(reference_weights, weights) << tag << " stop=" << stop;
+            fs::remove(path);
+        }
+    }
+}
+
+// ------------------------------------------- checkpoint loader fuzz ----
+
+/// One fixed-RNG mutant of a checkpoint file: a truncation, a flipped
+/// byte, a deleted or duplicated line, or one token replaced by an extreme
+/// value.
+std::string mutate(const std::string& text, Rng& rng) {
+    std::vector<std::size_t> line_starts{0};
+    std::vector<std::pair<std::size_t, std::size_t>> tokens;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] == '\n' && i + 1 < text.size()) {
+            line_starts.push_back(i + 1);
+        }
+        const bool starts = text[i] != ' ' && text[i] != '\n' &&
+                            (i == 0 || text[i - 1] == ' ' ||
+                             text[i - 1] == '\n');
+        if (starts) tokens.emplace_back(i, text.find_first_of(" \n", i) - i);
+    }
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniform_int(n));
+    };
+    std::string out = text;
+    const std::size_t line = pick(line_starts.size());
+    const std::size_t line_start = line_starts[line];
+    const std::size_t line_end = line + 1 < line_starts.size()
+                                     ? line_starts[line + 1]
+                                     : text.size();
+    switch (pick(5)) {
+        case 0:
+            out.resize(pick(text.size()));
+            break;
+        case 1:
+            out[pick(out.size())] ^= static_cast<char>(1 + pick(255));
+            break;
+        case 2:
+            out.erase(line_start, line_end - line_start);
+            break;
+        case 3:
+            out.insert(line_start,
+                       text.substr(line_start, line_end - line_start));
+            break;
+        default: {
+            static const char* const kValues[] = {"18446744073709551615",
+                                                  "-1", "0"};
+            const auto [at, length] = tokens[pick(tokens.size())];
+            out.replace(at, length, kValues[pick(3)]);
+        }
+    }
+    return out;
+}
+
+TEST_F(ResumeTortureFixture, CheckpointLoaderSurvivesMutationCorpus) {
+    // The corpus: a live bayesft_search checkpoint (model bits), a live
+    // arch_search checkpoint (memo cache), and the committed v2 fixture.
+    const std::string live_path = temp_path("fuzz_live.ckpt");
+    std::vector<std::string> corpus;
+    {
+        fs::remove(live_path);
+        BayesFTConfig config = bayesft_config(1, 1);
+        config.checkpoint.path = live_path;
+        config.checkpoint.stop_after = 2;
+        models::ModelHandle model = make_model();
+        Rng rng(41);
+        bayesft_search(model, train_, test_, config, rng);
+        corpus.push_back(read_file(live_path));
+    }
+    {
+        fs::remove(live_path);
+        ArchSearchConfig config = arch_config(1, 1);
+        config.checkpoint.path = live_path;
+        config.checkpoint.stop_after = 2;
+        Rng rng(51);
+        arch_search(tiny_family(), train_, test_, config, rng);
+        corpus.push_back(read_file(live_path));
+    }
+    fs::remove(live_path);
+    corpus.push_back(read_file(
+        (fs::path(__FILE__).parent_path() / "data" / "checkpoint_v2.ckpt")
+            .string()));
+
+    const std::string path = temp_path("fuzz_mutant.ckpt");
+    Rng rng(2024);
+    for (const std::string& original : corpus) {
+        ASSERT_FALSE(original.empty());
+        write_file(path, original);
+        ASSERT_NO_THROW(load_checkpoint(path));
+        std::size_t rejected = 0;
+        for (int i = 0; i < 1000; ++i) {
+            write_file(path, mutate(original, rng));
+            try {
+                load_checkpoint(path);
+            } catch (const std::runtime_error& error) {
+                ++rejected;
+                const std::string what = error.what();
+                EXPECT_EQ(what.rfind("checkpoint: ", 0), 0U) << what;
+            } catch (const std::exception& error) {
+                ADD_FAILURE() << "mutant " << i << " escaped as a "
+                              << "non-runtime_error: " << error.what();
+            }
+        }
+        EXPECT_GT(rejected, 0U);
+    }
+    fs::remove(path);
 }
 
 }  // namespace
