@@ -1,7 +1,9 @@
 // Micro-benchmarks of the numeric substrates: the dispatched float GEMM
 // (including a comparison against the seed's scalar i-k-j kernel, and the
 // conv forward/dW/dx shape classes LeNet-5 training issues), batched conv
-// forward/backward, GP fit, per-fault-model injection throughput across
+// forward/backward, GP fit and pooled acquisition (including one-thread
+// records at the arch search's shape and the multi-RHS solve alone),
+// per-fault-model injection throughput across
 // the FaultModel zoo, multi-threaded Monte-Carlo drift evaluation scaling,
 // candidate-engine search throughput, and GP proposal cost over typed
 // mixed search spaces (suggest_throughput_vs_dims).
@@ -33,6 +35,9 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "bayesopt/acquisition.hpp"
 #include "bayesopt/bayesopt.hpp"
@@ -268,6 +273,33 @@ void bench_conv() {
     }
 }
 
+/// Times `fn` like time_ns, but in a forked child: the child has none of
+/// the pool's worker threads, so every parallel_for in it runs inline — a
+/// one-thread record inside a run whose pool is wider.
+template <typename Fn>
+double time_ns_one_thread(Fn&& fn) {
+    int fds[2];
+    if (::pipe(fds) != 0) std::abort();
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::close(fds[0]);
+        const double ns = time_ns(fn);
+        const bool sent = ::write(fds[1], &ns, sizeof ns) == sizeof ns;
+        ::_exit(sent ? 0 : 1);
+    }
+    ::close(fds[1]);
+    double ns = 0.0;
+    const bool got =
+        pid > 0 && ::read(fds[0], &ns, sizeof ns) == sizeof ns;
+    ::close(fds[0]);
+    if (pid > 0) ::waitpid(pid, nullptr, 0);
+    if (!got) {
+        std::fprintf(stderr, "micro_ops: one-thread timing child failed\n");
+        std::exit(1);
+    }
+    return ns;
+}
+
 /// Random d3 design of size n for the GP scaling benches (one shared
 /// generator so every op in the series sees the same kind of data).
 void make_gp_data(std::size_t n, std::vector<bayesopt::Point>& xs,
@@ -379,6 +411,68 @@ void bench_gp() {
                parallel_thread_count(), pointwise_ns, 0.0);
         std::printf("  -> pooled posterior speedup over per-point: %.1fx\n",
                     pointwise_ns / batched_ns);
+
+        // search_long's acquisition shape, one thread: the 14-dim
+        // mlp_arch_family encoding (two categorical blocks), a pool of 640
+        // candidates, the GP at four history lengths.
+        const models::ArchFamily family = models::mlp_arch_family(
+            models::MlpOptions{}, /*max_hidden_layers=*/4,
+            /*max_dropout_rate=*/0.5);
+        const core::ParamSpace& space = family.space;
+        Rng arch_rng(8);
+        std::vector<bayesopt::Point> arch_pool;
+        for (std::size_t i = 0; i < 640; ++i) {
+            arch_pool.push_back(space.encode(space.sample(arch_rng)));
+        }
+        std::vector<bayesopt::Point> arch_xs;
+        std::vector<double> arch_ys;
+        for (const std::size_t n : {128UL, 256UL, 512UL, 1024UL}) {
+            while (arch_xs.size() < n) {
+                arch_xs.push_back(space.encode(space.sample(arch_rng)));
+                arch_ys.push_back(arch_rng.normal());
+            }
+            bayesopt::GaussianProcess arch_gp(
+                space.kernel(4.0, 1.0),
+                bayesopt::BayesOptConfig{}.noise_variance);
+            arch_gp.fit(arch_xs, arch_ys);
+            const double ns = time_ns_one_thread([&] {
+                const std::vector<bayesopt::Posterior> posts =
+                    arch_gp.posterior_batch(arch_pool);
+                sink = sink + posts.back().variance;
+            });
+            report("gp_acquisition_pool",
+                   "arch14_n" + std::to_string(n) + "m640", 1, ns, 0.0);
+        }
+    }
+
+    // The multi-RHS forward solve alone at n = 512, m = 640, one thread:
+    // the SIMD kernel with the candidates in vector lanes.  Each iteration
+    // also restores the right-hand sides (a 2.6 MB copy), since the solve
+    // works in place.
+    if (want("gp_solve_multi")) {
+        std::vector<bayesopt::Point> xs;
+        std::vector<double> ys;
+        make_gp_data(512, xs, ys);
+        const auto kernel =
+            std::make_shared<bayesopt::ArdSquaredExponential>(3, 4.0);
+        linalg::Matrix k = kernel->gram(xs);
+        k.add_diagonal(1e-4);
+        const linalg::Matrix l = linalg::cholesky(k);
+        std::vector<bayesopt::Point> pool;
+        Rng pool_rng(9);
+        for (std::size_t i = 0; i < 640; ++i) {
+            pool.push_back({pool_rng.uniform(), pool_rng.uniform(),
+                            pool_rng.uniform()});
+        }
+        const linalg::Matrix rhs = kernel->cross_matrix(pool, xs);
+        volatile double sink = 0.0;
+        const double ns = time_ns_one_thread([&] {
+            linalg::Matrix work = rhs;
+            linalg::solve_lower_multi_inplace(l, work);
+            sink = sink + work(511, 639);
+        });
+        // One multiply and one subtract per (row, k < row, column).
+        report("gp_solve_multi", "n512m640", 1, ns, 512.0 * 511.0 * 640.0);
     }
 }
 

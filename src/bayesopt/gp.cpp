@@ -131,27 +131,34 @@ std::vector<Posterior> GaussianProcess::posterior_batch(
     std::vector<Posterior> out(m);
     if (m == 0) return out;
     const std::size_t n = xs_.size();
+    // The n x m cross block, candidates contiguous along each row, so the
+    // passes below and the solve read them as vector lanes.  Each pass
+    // keeps the per-point path's order over i for every candidate.
     linalg::Matrix kq = kernel_->cross_matrix(queries, xs_);
-    // Means before the in-place solve consumes the cross block.  Each row
-    // is the exact dot(kx, alpha) loop of the per-point path.
-    const std::size_t grain = std::max<std::size_t>(1, 1024 / (n + 1));
+    std::vector<double> sums(m);
+    const std::size_t grain = std::max<std::size_t>(1, 16384 / (n + 1));
+    // Means before the in-place solve consumes the cross block: the exact
+    // dot(kx, alpha) of posterior().
     parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            const double* row = kq.data() + r * n;
-            double acc = 0.0;
-            for (std::size_t i = 0; i < n; ++i) acc += row[i] * alpha_[i];
-            out[r].mean = y_mean_ + acc;
+        std::fill(sums.begin() + lo, sums.begin() + hi, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double* row = kq.data() + i * m;
+            const double a = alpha_[i];
+            for (std::size_t r = lo; r < hi; ++r) sums[r] += row[r] * a;
         }
+        for (std::size_t r = lo; r < hi; ++r) out[r].mean = y_mean_ + sums[r];
     });
     // One multi-RHS forward solve for every candidate's v = L^-1 kx.
     linalg::solve_lower_multi_inplace(chol_, kq);
     parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
+        std::fill(sums.begin() + lo, sums.begin() + hi, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double* row = kq.data() + i * m;
+            for (std::size_t r = lo; r < hi; ++r) sums[r] += row[r] * row[r];
+        }
         for (std::size_t r = lo; r < hi; ++r) {
-            const double* row = kq.data() + r * n;
-            double vv = 0.0;
-            for (std::size_t i = 0; i < n; ++i) vv += row[i] * row[i];
             const double prior_var = (*kernel_)(queries[r], queries[r]);
-            out[r].variance = std::max(0.0, prior_var - vv);
+            out[r].variance = std::max(0.0, prior_var - sums[r]);
         }
     });
     return out;

@@ -75,12 +75,13 @@ public:
     /// Posterior at `x`; throws std::logic_error if not fitted.
     Posterior posterior(const Point& x) const;
 
-    /// Posteriors at many query points in one pass: the m x n cross-kernel
-    /// block is built once (rows over the thread pool), the variance term
-    /// uses one multi-RHS triangular solve, and each row reproduces the
+    /// Posteriors at many query points in one pass: the n x m cross-kernel
+    /// block is built once with the candidates contiguous (candidate-
+    /// minor), the variance term uses one multi-RHS triangular solve with
+    /// the candidates in SIMD lanes, and each candidate reproduces the
     /// exact per-point recurrence — so the result is bit-identical to m
-    /// posterior() calls at every thread count, at a fraction of the
-    /// dispatch and allocation cost (the batched acquisition path).
+    /// posterior() calls on every tier and at every thread count (the
+    /// batched acquisition path).
     std::vector<Posterior> posterior_batch(
         const std::vector<Point>& queries) const;
 

@@ -52,61 +52,18 @@ linalg::Matrix Kernel::cross_matrix(const std::vector<Point>& queries,
                                     const std::vector<Point>& xs) const {
     const std::size_t m = queries.size();
     const std::size_t n = xs.size();
-    linalg::Matrix c(m, n);
-    // Row r is exactly cross(queries[r], xs); rows have disjoint outputs,
-    // so the split over the pool is bit-deterministic.
-    const std::size_t grain = std::max<std::size_t>(1, 1024 / (n + 1));
-    parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            for (std::size_t i = 0; i < n; ++i) {
-                c(r, i) = (*this)(queries[r], xs[i]);
+    linalg::Matrix c(n, m);
+    // Rows have disjoint outputs, so the split over the pool is
+    // bit-deterministic.
+    const std::size_t grain = std::max<std::size_t>(1, 1024 / (m + 1));
+    parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            for (std::size_t r = 0; r < m; ++r) {
+                c(i, r) = (*this)(queries[r], xs[i]);
             }
         }
     });
     return c;
-}
-
-ArdSquaredExponential::ArdSquaredExponential(
-    std::vector<double> inverse_length_scales, double amplitude)
-    : inv_scales_(std::move(inverse_length_scales)), amplitude_(amplitude) {
-    if (inv_scales_.empty()) {
-        throw std::invalid_argument("ArdSquaredExponential: empty scales");
-    }
-    for (double k : inv_scales_) {
-        if (!(k > 0.0)) {
-            throw std::invalid_argument(
-                "ArdSquaredExponential: inverse length scales must be > 0");
-        }
-    }
-    if (!(amplitude > 0.0)) {
-        throw std::invalid_argument(
-            "ArdSquaredExponential: amplitude must be > 0");
-    }
-}
-
-ArdSquaredExponential::ArdSquaredExponential(std::size_t dims,
-                                             double inv_scale,
-                                             double amplitude)
-    : ArdSquaredExponential(std::vector<double>(dims, inv_scale), amplitude) {}
-
-double ArdSquaredExponential::operator()(const Point& a,
-                                         const Point& b) const {
-    if (a.size() != inv_scales_.size() || b.size() != inv_scales_.size()) {
-        throw std::invalid_argument(
-            "ArdSquaredExponential: dimension mismatch");
-    }
-    double exponent = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double d = a[i] - b[i];
-        exponent += inv_scales_[i] * d * d;
-    }
-    return amplitude_ * std::exp(-exponent);
-}
-
-std::string ArdSquaredExponential::describe() const {
-    std::ostringstream os;
-    os << "ARD-SE(d=" << inv_scales_.size() << ", k0=" << amplitude_ << ")";
-    return os.str();
 }
 
 namespace {
@@ -181,11 +138,92 @@ double MixedArdSquaredExponential::operator()(const Point& a,
     return amplitude_ * std::exp(-exponent);
 }
 
+linalg::Matrix MixedArdSquaredExponential::cross_matrix(
+    const std::vector<Point>& queries, const std::vector<Point>& xs) const {
+    const std::size_t m = queries.size();
+    const std::size_t n = xs.size();
+    const std::size_t dims = inv_scales_.size();
+    std::vector<std::size_t> numeric;
+    for (std::size_t d = 0; d < dims; ++d) {
+        if (!is_categorical_[d]) numeric.push_back(d);
+    }
+    const std::size_t nb = blocks_.size();
+    // qnum[j * m + r]: numeric coordinate j of query r; qcat[c * m + r]:
+    // query r's choice in block c.
+    std::vector<double> qnum(numeric.size() * m);
+    std::vector<std::size_t> qcat(nb * m);
+    for (std::size_t r = 0; r < m; ++r) {
+        const Point& q = queries[r];
+        if (q.size() != dims) {
+            throw std::invalid_argument("MixedArdSE: dimension mismatch");
+        }
+        for (std::size_t j = 0; j < numeric.size(); ++j) {
+            qnum[j * m + r] = q[numeric[j]];
+        }
+        for (std::size_t c = 0; c < nb; ++c) {
+            qcat[c * m + r] = block_argmax(q, blocks_[c]);
+        }
+    }
+    for (const Point& x : xs) {
+        if (x.size() != dims) {
+            throw std::invalid_argument("MixedArdSE: dimension mismatch");
+        }
+    }
+    linalg::Matrix out(n, m);
+    const std::size_t grain = std::max<std::size_t>(1, 1024 / (m + 1));
+    parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            const Point& x = xs[i];
+            double* e = out.data() + i * m;
+            std::fill_n(e, m, 0.0);
+            for (std::size_t j = 0; j < numeric.size(); ++j) {
+                const double xj = x[numeric[j]];
+                const double scale = inv_scales_[numeric[j]];
+                const double* q = qnum.data() + j * m;
+                for (std::size_t r = 0; r < m; ++r) {
+                    const double d = q[r] - xj;
+                    e[r] += scale * d * d;
+                }
+            }
+            // Adding +0.0 where the choices agree leaves e[r] unchanged:
+            // it starts at +0.0 and every term is >= +0.0.
+            for (std::size_t c = 0; c < nb; ++c) {
+                const std::size_t xc = block_argmax(x, blocks_[c]);
+                const std::size_t* q = qcat.data() + c * m;
+                for (std::size_t r = 0; r < m; ++r) {
+                    e[r] += q[r] != xc ? hamming_weight_ : 0.0;
+                }
+            }
+            for (std::size_t r = 0; r < m; ++r) {
+                e[r] = amplitude_ * std::exp(-e[r]);
+            }
+        }
+    });
+    return out;
+}
+
 std::string MixedArdSquaredExponential::describe() const {
     std::ostringstream os;
     os << "MixedARD-SE(d=" << inv_scales_.size() << ", cat="
        << blocks_.size() << ", lambda=" << hamming_weight_
        << ", k0=" << amplitude_ << ")";
+    return os.str();
+}
+
+ArdSquaredExponential::ArdSquaredExponential(
+    std::vector<double> inverse_length_scales, double amplitude)
+    : MixedArdSquaredExponential(std::move(inverse_length_scales), {},
+                                 /*hamming_weight=*/1.0, amplitude) {}
+
+ArdSquaredExponential::ArdSquaredExponential(std::size_t dims,
+                                             double inv_scale,
+                                             double amplitude)
+    : ArdSquaredExponential(std::vector<double>(dims, inv_scale), amplitude) {}
+
+std::string ArdSquaredExponential::describe() const {
+    std::ostringstream os;
+    os << "ARD-SE(d=" << inverse_length_scales().size()
+       << ", k0=" << amplitude() << ")";
     return os.str();
 }
 

@@ -36,38 +36,16 @@ public:
     /// Cross-covariance vector k(x, xs[i]).
     linalg::Vector cross(const Point& x, const std::vector<Point>& xs) const;
 
-    /// Cross-covariance matrix C[r][i] = k(queries[r], xs[i]): one cross()
-    /// row per query, rows split over the global thread pool (disjoint
-    /// outputs, so bit-identical to per-query cross() calls at every
-    /// thread count).  The batched-acquisition path builds the whole
-    /// candidate pool's cross-kernel block in one pass through this.
-    linalg::Matrix cross_matrix(const std::vector<Point>& queries,
-                                const std::vector<Point>& xs) const;
-};
-
-/// Paper Eq. 9: k0 * exp(-sum_i k_i (a_i - b_i)^2).
-class ArdSquaredExponential : public Kernel {
-public:
-    /// `inverse_length_scales` are the k_i (one per input dimension);
-    /// `amplitude` is k0.  All must be positive.
-    ArdSquaredExponential(std::vector<double> inverse_length_scales,
-                          double amplitude = 1.0);
-
-    /// Isotropic convenience: all k_i = inv_scale.
-    ArdSquaredExponential(std::size_t dims, double inv_scale,
-                          double amplitude = 1.0);
-
-    double operator()(const Point& a, const Point& b) const override;
-    std::string describe() const override;
-
-    const std::vector<double>& inverse_length_scales() const {
-        return inv_scales_;
-    }
-    double amplitude() const { return amplitude_; }
-
-private:
-    std::vector<double> inv_scales_;
-    double amplitude_;
+    /// Cross-covariance block C[i][r] = k(queries[r], xs[i]), n x m: one
+    /// row per training point with the candidates contiguous along it
+    /// (the candidate-minor layout the batched posterior solves in place).
+    /// Every element is the value operator()(queries[r], xs[i]) returns,
+    /// so the block is bit-identical to per-query cross() calls at every
+    /// thread count.  This default makes one operator() call per pair,
+    /// rows split over the global thread pool; the ARD kernels override
+    /// it with a packed evaluation.
+    virtual linalg::Matrix cross_matrix(const std::vector<Point>& queries,
+                                        const std::vector<Point>& xs) const;
 };
 
 /// A run of one-hot coordinates inside an encoded mixed-space point:
@@ -86,9 +64,9 @@ struct CategoricalBlock {
 ///
 /// where cat_c(x) is the argmax of block c (points are expected to be
 /// feasible one-hot encodings; argmax makes near-one-hot queries sane too).
-/// With no categorical blocks this computes exactly what
-/// ArdSquaredExponential computes, term for term — the bit-compatibility
-/// contract the dropout-only ParamSpace path relies on.
+/// With no categorical blocks this is paper Eq. 9 term for term, which is
+/// why ArdSquaredExponential is this class without blocks — the
+/// bit-compatibility contract the dropout-only ParamSpace path relies on.
 class MixedArdSquaredExponential : public Kernel {
 public:
     /// `inverse_length_scales` has one entry per encoded coordinate
@@ -102,6 +80,19 @@ public:
     double operator()(const Point& a, const Point& b) const override;
     std::string describe() const override;
 
+    /// Packed cross block: the numeric coordinates of the queries are
+    /// packed once with the candidates contiguous, and every point's
+    /// categorical choices are computed once instead of once per pair.
+    /// Each element keeps operator()'s order (numeric coordinates
+    /// ascending, then the blocks in order) and its scalar std::exp, so
+    /// the block is bit-identical to the per-pair default.
+    linalg::Matrix cross_matrix(const std::vector<Point>& queries,
+                                const std::vector<Point>& xs) const override;
+
+    const std::vector<double>& inverse_length_scales() const {
+        return inv_scales_;
+    }
+    double amplitude() const { return amplitude_; }
     const std::vector<CategoricalBlock>& blocks() const { return blocks_; }
     double hamming_weight() const { return hamming_weight_; }
 
@@ -111,6 +102,22 @@ private:
     std::vector<char> is_categorical_;  // per-coordinate membership mask
     double hamming_weight_;
     double amplitude_;
+};
+
+/// Paper Eq. 9: k0 * exp(-sum_i k_i (a_i - b_i)^2) — the no-block case of
+/// MixedArdSquaredExponential, which computes it term for term.
+class ArdSquaredExponential : public MixedArdSquaredExponential {
+public:
+    /// `inverse_length_scales` are the k_i (one per input dimension);
+    /// `amplitude` is k0.  All must be positive.
+    ArdSquaredExponential(std::vector<double> inverse_length_scales,
+                          double amplitude = 1.0);
+
+    /// Isotropic convenience: all k_i = inv_scale.
+    ArdSquaredExponential(std::size_t dims, double inv_scale,
+                          double amplitude = 1.0);
+
+    std::string describe() const override;
 };
 
 /// Matern-5/2 kernel with a single length scale (ablation alternative).

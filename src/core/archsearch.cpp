@@ -26,6 +26,7 @@ std::uint64_t archsearch_scenario_digest(const ArchSearchConfig& config,
     key = mix_key(key, reals, 2);
     key = mix_bo_config(key, config.bo);
     key = mix_train_config(key, config.train);
+    key = mix_key(key, kNumericsGeneration);
     return mix_rng_state(key, entry);
 }
 

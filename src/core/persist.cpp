@@ -490,8 +490,10 @@ void validate_checkpoint(const SearchCheckpoint& checkpoint,
     if (checkpoint.scenario_digest != scenario_digest) {
         fail("scenario digest mismatch — the checkpoint was written under a "
              "different objective/loop configuration (fault set, MC "
-             "samples, iterations, batch, seed, ...); delete it to start "
-             "fresh",
+             "samples, iterations, batch, seed, ...) or numerics "
+             "generation (this build: " +
+                 std::to_string(kNumericsGeneration) +
+                 "); delete it to start fresh",
              path);
     }
 }

@@ -129,6 +129,13 @@ std::uint64_t mix_train_config(std::uint64_t key,
 std::uint64_t mix_bo_config(std::uint64_t key,
                             const bayesopt::BayesOptConfig& config);
 
+/// Generation of the library's floating-point arithmetic.  Both search
+/// drivers fold it into their scenario digest, so a checkpoint written
+/// under other arithmetic (builds before generation 2 let the compiler
+/// fuse multiply-adds wherever it chose) is refused instead of resumed
+/// into different bits.  Bump it with any change that moves result bits.
+inline constexpr std::uint64_t kNumericsGeneration = 2;
+
 /// Folds an RNG state into a scenario digest.  The search drivers fold
 /// their entry state: it is a pure function of the caller's seed (and
 /// prior stream usage), so a checkpoint can only be resumed by a run with
@@ -136,8 +143,8 @@ std::uint64_t mix_bo_config(std::uint64_t key,
 std::uint64_t mix_rng_state(std::uint64_t key, const RngState& state);
 
 /// Throws std::runtime_error naming the mismatching digest when the
-/// checkpoint was written by a different search space or scenario
-/// configuration than the live one.
+/// checkpoint was written by a different search space, scenario
+/// configuration or numerics generation than the live one.
 void validate_checkpoint(const SearchCheckpoint& checkpoint,
                          std::uint64_t space_digest,
                          std::uint64_t scenario_digest,

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "utils/parallel.hpp"
 
@@ -95,6 +96,49 @@ constexpr std::size_t kParallelCholeskyMinDim = 192;
         std::to_string(i));
 }
 
+/// Rows per group in the single-RHS forward substitution.
+constexpr std::size_t kRowGroup = 8;
+
+/// Columns per pool chunk of the multi-RHS solve: a multiple of every
+/// tier's lane block, so no chunk boundary splits a block.
+constexpr std::size_t kSolveColumns = 32;
+
+/// Forward substitution L y = b for one right-hand side.  Rows go in
+/// groups of kRowGroup: the group's terms for k below its first row run
+/// as independent chains, then the group's own triangle finishes row by
+/// row.  Each element still starts from b[i], subtracts l(i, k) * y[k]
+/// for k ascending and divides once by l(i, i), so the bits are those of
+/// the plain row-by-row loop.
+void forward_substitute(const Matrix& l, const double* b, double* y) {
+    const std::size_t n = l.rows();
+    std::size_t i0 = 0;
+    for (; i0 + kRowGroup <= n; i0 += kRowGroup) {
+        double acc[kRowGroup];
+        const double* rows[kRowGroup];
+        for (std::size_t g = 0; g < kRowGroup; ++g) {
+            acc[g] = b[i0 + g];
+            rows[g] = l.data() + (i0 + g) * n;
+        }
+        for (std::size_t k = 0; k < i0; ++k) {
+            const double yk = y[k];
+            for (std::size_t g = 0; g < kRowGroup; ++g) {
+                acc[g] -= rows[g][k] * yk;
+            }
+        }
+        for (std::size_t g = 0; g < kRowGroup; ++g) {
+            for (std::size_t k = i0; k < i0 + g; ++k) {
+                acc[g] -= rows[g][k] * y[k];
+            }
+            y[i0 + g] = acc[g] / rows[g][i0 + g];
+        }
+    }
+    for (; i0 < n; ++i0) {
+        double acc = b[i0];
+        for (std::size_t k = 0; k < i0; ++k) acc -= l(i0, k) * y[k];
+        y[i0] = acc / l(i0, i0);
+    }
+}
+
 }  // namespace
 
 Matrix cholesky(const Matrix& a) {
@@ -181,11 +225,7 @@ bool cholesky_append_row(Matrix& l, const Vector& k, double diag) {
     // identical recurrence cholesky() runs for its last row, so the grown
     // factor matches a from-scratch refactorization bit-for-bit.
     Vector c(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        double acc = k[j];
-        for (std::size_t t = 0; t < j; ++t) acc -= c[t] * l(j, t);
-        c[j] = acc / l(j, j);
-    }
+    forward_substitute(l, k.data(), c.data());
     double pivot = diag;
     for (std::size_t t = 0; t < n; ++t) pivot -= c[t] * c[t];
     // Exactly cholesky()'s pivot test: when this fails, a from-scratch
@@ -216,25 +256,23 @@ void cholesky_truncate(Matrix& l, std::size_t n) {
 
 void solve_lower_multi_inplace(const Matrix& l, Matrix& rhs) {
     const std::size_t n = l.rows();
-    if (l.cols() != n || rhs.cols() != n) {
+    if (l.cols() != n || rhs.rows() != n) {
         throw std::invalid_argument(
             "solve_lower_multi_inplace: dimension mismatch");
     }
-    // Rows are independent right-hand sides with disjoint outputs; each
-    // runs the exact solve_lower() recurrence, so the result is
-    // bit-identical to n_rows separate solve_lower calls at every thread
-    // count.  Grain keeps chunks at ~16k multiply-adds.
-    const std::size_t grain =
-        std::max<std::size_t>(1, 32768 / (n * n + 1));
-    parallel_for(0, rhs.rows(), grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            double* y = rhs.data() + r * n;
-            for (std::size_t i = 0; i < n; ++i) {
-                double acc = y[i];
-                for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
-                y[i] = acc / l(i, i);
-            }
-        }
+    // Columns are independent right-hand sides with disjoint outputs, and
+    // the kernel runs each one's solve_lower() recurrence in a vector
+    // lane, so the result is bit-identical to per-column solve_lower calls
+    // on every tier and at every thread count.  Grain keeps chunks at
+    // ~64k multiply-subtracts.
+    const std::size_t m = rhs.cols();
+    const auto solve = simd::kernels().solve_lower_multi_f64;
+    const std::size_t blocks = (m + kSolveColumns - 1) / kSolveColumns;
+    const std::size_t grain = std::max<std::size_t>(1, 4096 / (n * n + 1));
+    parallel_for(0, blocks, grain, [&](std::size_t lo, std::size_t hi) {
+        const std::size_t c0 = lo * kSolveColumns;
+        const std::size_t c1 = std::min(m, hi * kSolveColumns);
+        solve(l.data(), n, rhs.data() + c0, m, n, c1 - c0);
     });
 }
 
@@ -244,11 +282,7 @@ Vector solve_lower(const Matrix& l, const Vector& b) {
         throw std::invalid_argument("solve_lower: dimension mismatch");
     }
     Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
-        y[i] = acc / l(i, i);
-    }
+    forward_substitute(l, b.data(), y.data());
     return y;
 }
 

@@ -99,13 +99,15 @@ bool cholesky_append_row(Matrix& l, const Vector& k, double diag);
 /// bit-for-bit (constant-liar fantasy rollback).  Requires n <= l.rows().
 void cholesky_truncate(Matrix& l, std::size_t n);
 
-/// Multi-RHS forward solve: treats each ROW r of `rhs` as an independent
-/// right-hand side and solves L y_r = rhs_r in place.  Each row runs the
-/// exact solve_lower() recurrence, so row r of the result is bit-identical
-/// to solve_lower(l, row r); rows are independent and are split over the
-/// global thread pool (disjoint outputs => bit-identical for every thread
-/// count).  This is the batched-acquisition path: one solve over the whole
-/// candidate pool instead of a triangular solve per candidate.
+/// Multi-RHS forward solve: treats each COLUMN c of the n x m matrix
+/// `rhs` as an independent right-hand side and solves L y_c = rhs_c in
+/// place.  The SIMD kernel (simd::KernelTable::solve_lower_multi_f64)
+/// holds the columns in vector lanes and runs each one's solve_lower()
+/// recurrence, so column c of the result is bit-identical to
+/// solve_lower(l, column c) on every tier; blocks of columns are split
+/// over the global thread pool (disjoint outputs => bit-identical for
+/// every thread count).  This is the batched-acquisition path: one solve
+/// over the whole candidate pool, candidates contiguous along each row.
 void solve_lower_multi_inplace(const Matrix& l, Matrix& rhs);
 
 /// Solves L y = b for lower-triangular L.

@@ -60,8 +60,11 @@ std::vector<EpochStats> train_classifier(
         double loss_sum = 0.0;
         std::size_t hit = 0;
         std::size_t batches = 0;
-        for (std::size_t lo = 0; lo < n; lo += batch) {
-            const std::size_t hi = std::min(lo + batch, n);
+        for (std::size_t lo = 0, hi = 0; lo < n; lo = hi) {
+            hi = std::min(lo + batch, n);
+            // A trailing single sample joins this batch: one row gives
+            // BatchNorm no training statistics.
+            if (batch > 1 && n - hi == 1) hi = n;
             Batch b = gather_batch(images, labels, order, lo, hi);
             opt->zero_grad();
             const Tensor logits = model.forward(b.images);

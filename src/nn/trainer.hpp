@@ -40,7 +40,9 @@ Batch gather_batch(const Tensor& images, const std::vector<int>& labels,
                    const std::vector<std::size_t>& order, std::size_t lo,
                    std::size_t hi);
 
-/// Trains `model` on (images, labels) with cross-entropy.
+/// Trains `model` on (images, labels) with cross-entropy.  Each epoch runs
+/// shuffled batches of config.batch_size; a trailing single sample joins
+/// the last full batch (batch_size > 1), so BatchNorm always sees >= 2 rows.
 /// Returns per-epoch stats.  `on_epoch` (optional) observes progress.
 std::vector<EpochStats> train_classifier(
     Module& model, const Tensor& images, const std::vector<int>& labels,

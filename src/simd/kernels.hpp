@@ -17,8 +17,9 @@
 // compiled with -ffp-contract=off so the scalar tier fuses exactly where
 // the vector tiers do (explicit std::fma) and nowhere else.
 // tests/test_simd.cpp pins the contract for every fault model, every
-// activation, and GEMM edge-tile shapes (against an independent
-// per-element fma-chain reference).
+// activation, GEMM edge-tile shapes (against an independent per-element
+// fma-chain reference), and the f64 multi-RHS solve (against a
+// multiply-then-subtract reference).
 //
 // RNG stream layout: the fault kernels consume randomness through
 // kLanes = 16 deterministic logical lanes derived from the caller's Rng
@@ -113,6 +114,18 @@ struct KernelTable {
     void (*qgemm_nt)(const std::int16_t* a, const std::int16_t* b,
                      float* c, std::size_t m, std::size_t k, std::size_t n,
                      float scale);
+
+    // -- f64 triangular solve (GP acquisition) ---------------------------
+    /// Solves L Y = B in place for the m right-hand sides stored as the
+    /// columns of the n×m block B (leading dim ldb >= m); L is n×n lower
+    /// triangular (ldl).  Each element is the forward-substitution
+    /// recurrence: it starts from b[i][c], subtracts l[i][k]·y[k][c] (one
+    /// multiply, then one subtract) for k ascending, then divides once by
+    /// l[i][i], on every tier and every column block.  Only B's n×m block
+    /// is written, never the columns past m.
+    void (*solve_lower_multi_f64)(const double* l, std::size_t ldl,
+                                  double* b, std::size_t ldb, std::size_t n,
+                                  std::size_t m);
 };
 
 /// The active table (env/CPU selected, cached after the first call).

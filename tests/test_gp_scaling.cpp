@@ -1,6 +1,7 @@
 // Scalable-surrogate pins (docs/optimizer-scaling.md): the incremental
 // GP operations (rank-1 Cholesky append, target update, truncation) and
-// the pooled posterior path are bit-identical to the canonical full
+// the pooled posterior path (on the arch search's mixed space and on
+// Matern52, at 1 and 4 threads) are bit-identical to the canonical full
 // fit() / per-point posterior(); the trust-region regime adapts and
 // restarts as specified; and a 1000-trial synthetic search produces
 // byte-identical trial logs across thread counts (child processes under
@@ -17,15 +18,19 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bayesopt/acquisition.hpp"
 #include "bayesopt/bayesopt.hpp"
 #include "bayesopt/gp.hpp"
 #include "bayesopt/kernel.hpp"
+#include "core/param_space.hpp"
+#include "models/zoo.hpp"
 #include "utils/parallel.hpp"
 #include "utils/rng.hpp"
 
@@ -375,49 +380,113 @@ TEST(ThousandTrials, KillResumeLogIsByteIdentical) {
 }
 
 #ifdef __linux__
-/// Child mode: when BAYESFT_GP_SCALING_OUT names a file, run the long
-/// search in *this* process (whose pool width came from
-/// BAYESFT_NUM_THREADS at startup) and write the trial log there.  The
-/// parent test below launches two of these at different thread counts.
+/// The search_long surrogate at test size: the 14-dim mlp_arch_family
+/// encoding (two categorical blocks) and Matern52 over the same points,
+/// 150 GP rows and 313 candidates (ten 32-column solve blocks, the last
+/// one ragged), every other candidate nudged off its one-hot encoding.
+/// Checks the pooled posterior against per-point posterior() bitwise and
+/// returns one hex line per candidate.
+std::vector<std::string> pooled_posterior_lines() {
+    models::MlpOptions base;
+    base.input_features = 256;
+    base.hidden = 64;
+    const models::ArchFamily family = models::mlp_arch_family(
+        base, /*max_hidden_layers=*/4, /*max_dropout_rate=*/0.5);
+    const core::ParamSpace& space = family.space;
+    Rng rng(23);
+    std::vector<Point> xs;
+    std::vector<double> ys;
+    for (std::size_t i = 0; i < 150; ++i) {
+        xs.push_back(space.encode(space.sample(rng)));
+        ys.push_back(rng.normal());
+    }
+    std::vector<Point> queries;
+    for (std::size_t r = 0; r < 313; ++r) {
+        Point q = space.encode(space.sample(rng));
+        if (r % 2 == 1) {
+            for (double& v : q) v += rng.uniform(-0.2, 0.2);
+        }
+        queries.push_back(std::move(q));
+    }
+    const std::shared_ptr<const Kernel> kernels[] = {
+        space.kernel(4.0, 1.0), std::make_shared<Matern52>(0.8)};
+    std::vector<std::string> lines;
+    for (const auto& kernel : kernels) {
+        GaussianProcess gp(kernel, 1e-2);
+        gp.fit(xs, ys);
+        const std::vector<Posterior> batched = gp.posterior_batch(queries);
+        for (std::size_t r = 0; r < queries.size(); ++r) {
+            const Posterior one = gp.posterior(queries[r]);
+            EXPECT_EQ(batched[r].mean, one.mean)
+                << kernel->describe() << " query " << r;
+            EXPECT_EQ(batched[r].variance, one.variance)
+                << kernel->describe() << " query " << r;
+            lines.push_back(kernel->describe() + ' ' +
+                            hex_bits(batched[r].mean) + ' ' +
+                            hex_bits(batched[r].variance));
+        }
+    }
+    return lines;
+}
+
+/// Child mode: when BAYESFT_GP_SCALING_OUT names a file, the child tests
+/// below run in *this* process (whose pool width came from
+/// BAYESFT_NUM_THREADS at startup) and write their lines there.  The
+/// parent tests launch them at different thread counts.
+void write_child_lines(const std::vector<std::string>& lines,
+                       const char* out) {
+    std::ofstream file(out);
+    ASSERT_TRUE(file) << out;
+    for (const std::string& line : lines) file << line << '\n';
+}
+
 TEST(ThousandTrialsChild, WriteTrialLog) {
     const char* out = std::getenv("BAYESFT_GP_SCALING_OUT");
     if (out == nullptr) {
         GTEST_SKIP() << "parent-driven child mode only";
     }
     BayesOpt bo = make_long_run_bo();
-    const std::vector<std::string> lines = run_trials(bo, kLongRunTrials);
-    std::ofstream file(out);
-    ASSERT_TRUE(file) << out;
-    for (const std::string& line : lines) file << line << '\n';
+    write_child_lines(run_trials(bo, kLongRunTrials), out);
 }
 
-TEST(ThousandTrials, LogIsByteIdenticalAcrossThreadCounts) {
-    // The pool width is fixed per process (BAYESFT_NUM_THREADS is read
-    // once), so genuine 1-vs-4-thread coverage needs child processes:
-    // re-run this binary filtered down to the child test above.
+TEST(PooledPosteriorChild, WriteLines) {
+    const char* out = std::getenv("BAYESFT_GP_SCALING_OUT");
+    if (out == nullptr) {
+        GTEST_SKIP() << "parent-driven child mode only";
+    }
+    write_child_lines(pooled_posterior_lines(), out);
+}
+
+/// The pool width is fixed per process (BAYESFT_NUM_THREADS is read
+/// once), so genuine 1-vs-4-thread coverage needs child processes: re-run
+/// this binary filtered down to one child test at 1 and at 4 threads and
+/// return both outputs.  A child exits nonzero if any of its checks fail.
+std::pair<std::string, std::string> child_outputs_1_and_4(
+    const std::string& child_test) {
     const std::string self =
         std::filesystem::read_symlink("/proc/self/exe").string();
     const std::string dir = ::testing::TempDir();
-    auto run_child = [&](std::size_t threads, const std::string& log) {
+    std::string outputs[2];
+    const std::size_t widths[2] = {1, 4};
+    for (std::size_t c = 0; c < 2; ++c) {
+        const std::string log = dir + "gp_scaling_" + child_test + "_t" +
+                                std::to_string(widths[c]) + ".log";
         const std::string command =
-            "BAYESFT_NUM_THREADS=" + std::to_string(threads) +
+            "BAYESFT_NUM_THREADS=" + std::to_string(widths[c]) +
             " BAYESFT_GP_SCALING_OUT='" + log + "' '" + self +
-            "' --gtest_filter=ThousandTrialsChild.WriteTrialLog "
-            ">/dev/null 2>&1";
-        return std::system(command.c_str());
-    };
-    const std::string log1 = dir + "gp_scaling_t1.log";
-    const std::string log4 = dir + "gp_scaling_t4.log";
-    ASSERT_EQ(run_child(1, log1), 0);
-    ASSERT_EQ(run_child(4, log4), 0);
+            "' --gtest_filter=" + child_test + " >/dev/null 2>&1";
+        EXPECT_EQ(std::system(command.c_str()), 0) << child_test;
+        std::ifstream file(log, std::ios::binary);
+        EXPECT_TRUE(file) << log;
+        outputs[c].assign(std::istreambuf_iterator<char>(file),
+                          std::istreambuf_iterator<char>());
+    }
+    return {outputs[0], outputs[1]};
+}
 
-    std::ifstream a(log1, std::ios::binary);
-    std::ifstream b(log4, std::ios::binary);
-    ASSERT_TRUE(a && b);
-    const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                              std::istreambuf_iterator<char>());
-    const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                              std::istreambuf_iterator<char>());
+TEST(ThousandTrials, LogIsByteIdenticalAcrossThreadCounts) {
+    const auto [bytes_a, bytes_b] =
+        child_outputs_1_and_4("ThousandTrialsChild.WriteTrialLog");
     ASSERT_FALSE(bytes_a.empty());
     EXPECT_EQ(bytes_a, bytes_b)
         << "trial logs diverge between 1 and 4 threads";
@@ -425,6 +494,17 @@ TEST(ThousandTrials, LogIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(static_cast<std::size_t>(
                   std::count(bytes_a.begin(), bytes_a.end(), '\n')),
               kLongRunTrials);
+}
+
+TEST(GpBatched, ArchSpaceAndMaternPoolsMatchPerPointAtOneAndFourThreads) {
+    const auto [bytes_a, bytes_b] =
+        child_outputs_1_and_4("PooledPosteriorChild.WriteLines");
+    ASSERT_FALSE(bytes_a.empty());
+    EXPECT_EQ(bytes_a, bytes_b)
+        << "pooled posteriors diverge between 1 and 4 threads";
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(bytes_a.begin(), bytes_a.end(), '\n')),
+              2U * 313U);
 }
 #endif  // __linux__
 

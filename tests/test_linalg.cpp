@@ -213,24 +213,46 @@ TEST(CholeskyTruncate, IsExactDowndate) {
     }
 }
 
-TEST(SolveMulti, MatchesPerRowSolvesBitwise) {
-    // Each RHS row of the multi-solve must carry the identical bits the
+TEST(SolveMulti, MatchesPerColumnSolvesBitwise) {
+    // Each RHS column of the multi-solve must carry the identical bits the
     // one-vector solve_lower produces (the pooled-posterior contract).
+    // 45 columns: one full 32-column pool chunk plus a ragged tail.
     Rng rng(14);
-    const std::size_t n = 9, m = 5;
+    const std::size_t n = 9, m = 45;
     const Matrix l = cholesky(random_spd(n, rng));
-    Matrix rhs(m, n);
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t i = 0; i < n; ++i) rhs(r, i) = rng.normal();
+    Matrix rhs(n, m);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < m; ++c) rhs(i, c) = rng.normal();
     }
     const Matrix original = rhs;
     solve_lower_multi_inplace(l, rhs);
-    for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < m; ++c) {
         Vector b(n);
-        for (std::size_t i = 0; i < n; ++i) b[i] = original(r, i);
+        for (std::size_t i = 0; i < n; ++i) b[i] = original(i, c);
         const Vector x = solve_lower(l, b);
         for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(rhs(r, i), x[i]) << "row " << r << " col " << i;
+            EXPECT_EQ(rhs(i, c), x[i]) << "column " << c << " row " << i;
+        }
+    }
+}
+
+TEST(SolveLower, GroupedRowsMatchRowByRowLoopBitwise) {
+    // solve_lower runs rows in interleaved groups; every element must still
+    // get the row-by-row loop's bits (subtract in ascending k, then divide).
+    for (const std::size_t n : {1, 7, 8, 9, 17, 100}) {
+        Rng rng(30 + n);
+        const Matrix l = cholesky(random_spd(n, rng));
+        Vector b(n);
+        for (double& v : b) v = rng.normal();
+        Vector expected(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            double acc = b[i];
+            for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * expected[k];
+            expected[i] = acc / l(i, i);
+        }
+        const Vector y = solve_lower(l, b);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(y[i], expected[i]) << "n=" << n << " row " << i;
         }
     }
 }

@@ -9,6 +9,7 @@
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
+#include "nn/norm.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
 
@@ -140,6 +141,53 @@ TEST(Trainer, LearnsLinearlySeparableBlobs) {
     EXPECT_GT(history.back().train_accuracy, 0.95);
     EXPECT_LT(history.back().mean_loss, history.front().mean_loss);
     EXPECT_GT(evaluate_accuracy(model, blobs.images, blobs.labels), 0.95);
+}
+
+/// Identity layer that records the batch size of every forward call.
+class BatchSizeProbe : public Module {
+public:
+    explicit BatchSizeProbe(std::vector<std::size_t>* sizes)
+        : sizes_(sizes) {}
+    Tensor forward(const Tensor& input) override {
+        sizes_->push_back(input.dim(0));
+        return input;
+    }
+    Tensor backward(const Tensor& g) override { return g; }
+    std::string name() const override { return "BatchSizeProbe"; }
+
+private:
+    std::vector<std::size_t>* sizes_;
+};
+
+TEST(Trainer, TrailingSingleSampleJoinsTheLastBatch) {
+    // 65 rows at batch 32 used to end in a batch of one, which BatchNorm's
+    // training forward rejects; the last sample now joins the batch before.
+    Rng rng(14);
+    const data::Dataset blobs = data::make_blobs(65, 3, 4.0, 0.5, rng);
+    std::vector<std::size_t> sizes;
+    Sequential model;
+    model.emplace<Linear>(2, 8, rng);
+    model.emplace<BatchSizeProbe>(&sizes);
+    model.emplace<BatchNorm>(8);
+    model.emplace<ReLU>();
+    model.emplace<Linear>(8, 3, rng);
+    TrainConfig config;
+    config.epochs = 2;
+    config.batch_size = 32;
+    EXPECT_NO_THROW(
+        train_classifier(model, blobs.images, blobs.labels, config, rng));
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{32, 33, 32, 33}));
+
+    // Batch size 1 asks for single-sample batches; none is merged.
+    sizes.clear();
+    Sequential plain;
+    plain.emplace<BatchSizeProbe>(&sizes);
+    plain.emplace<Linear>(2, 3, rng);
+    config.epochs = 1;
+    config.batch_size = 1;
+    const data::Dataset three = data::make_blobs(3, 3, 4.0, 0.5, rng);
+    train_classifier(plain, three.images, three.labels, config, rng);
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 1, 1}));
 }
 
 TEST(Trainer, PredictLogitsMatchesBatchedEval) {

@@ -710,6 +710,54 @@ TEST_F(ResumeTortureFixture, ArchSearchResumeBitIdenticalSerialAndBatched) {
     }
 }
 
+TEST_F(ResumeTortureFixture, ArchSearchRefusesCheckpointFromOtherNumerics) {
+    // Checkpoints written before kNumericsGeneration carry a scenario
+    // digest without it.  Resuming one would continue a search under
+    // different arithmetic, so it must be refused, naming the generation.
+    const models::ArchFamily family = tiny_family();
+    ArchSearchConfig config = arch_config(1, 1);
+    const std::string path = temp_path("arch_numerics.ckpt");
+    fs::remove(path);
+    config.checkpoint.path = path;
+    config.checkpoint.stop_after = 2;
+    Rng rng(51);
+    const RngState entry = rng.state();
+    arch_search(family, train_, test_, config, rng);
+    SearchCheckpoint cp = load_checkpoint(path);
+
+    // arch_search's scenario digest up to the generation.
+    std::uint64_t key = objective_digest(config.objective);
+    key = mix_key(key, static_cast<std::uint64_t>(config.iterations));
+    key = mix_key(key, static_cast<std::uint64_t>(config.final_epochs));
+    key = mix_key(key, static_cast<std::uint64_t>(config.batch));
+    key = mix_key(key, std::string_view(config.acquisition));
+    const double reals[] = {config.kernel_inverse_scale,
+                            config.hamming_weight};
+    key = mix_key(key, reals, 2);
+    key = mix_bo_config(key, config.bo);
+    key = mix_train_config(key, config.train);
+    ASSERT_EQ(cp.scenario_digest,
+              mix_rng_state(mix_key(key, kNumericsGeneration), entry));
+
+    cp.scenario_digest = mix_rng_state(key, entry);
+    save_checkpoint(cp, path);
+    config.checkpoint.stop_after = 0;
+    Rng again(51);
+    try {
+        arch_search(family, train_, test_, config, again);
+        ADD_FAILURE() << "resumed a checkpoint from another numerics "
+                         "generation";
+    } catch (const std::runtime_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("numerics generation (this build: " +
+                            std::to_string(kNumericsGeneration) + ")"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+    }
+    fs::remove(path);
+}
+
 // ------------------------------------------ kill/resume: detector ----
 
 TEST_F(ResumeTortureFixture, DetectorSearchResumeBitIdenticalSerialAndBatched) {

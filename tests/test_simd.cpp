@@ -4,7 +4,8 @@
 // Pinned here for every fault model in the zoo, every activation kind
 // (forward and backward), the deterministic quantization kernels, and
 // GEMM against an independent per-element fma-chain reference across
-// odd/remainder shapes and strided sub-blocks; plus the panel-split
+// odd/remainder shapes and strided sub-blocks, the f64 multi-RHS solve
+// against a multiply-then-subtract reference; plus the panel-split
 // invariance that makes the parallel GEMM driver thread-count independent,
 // and fault injection under 1 and 4 evaluation threads.
 
@@ -106,6 +107,7 @@ TEST(SimdDispatch, EveryAvailableTierHasCompleteTable) {
         EXPECT_NE(kt->lognormal_mul, nullptr);
         EXPECT_NE(kt->gemm_f32, nullptr);
         EXPECT_NE(kt->qgemm_nt, nullptr);
+        EXPECT_NE(kt->solve_lower_multi_f64, nullptr);
         EXPECT_STREQ(kt->name, tier_name(t));
     }
 }
@@ -432,6 +434,70 @@ TEST(SimdBitExact, QgemmNtMatchesInt64ReferenceOnEveryTier) {
         kernels_for(t)->qgemm_nt(a.data(), b.data(), c.data(), m, k, n,
                                  scale);
         EXPECT_TRUE(bits_equal(ref, c)) << tier_name(t);
+    }
+}
+
+// ------------------------------------------- f64 multi-RHS solve ----
+
+/// Independent reference for the multi-RHS forward solve, written without
+/// the kernel layer: column by column, every element starts from b, takes
+/// one multiply and then one subtract per k ascending, then one divide.
+/// Like the library, this file builds with -ffp-contract=off, so the
+/// product is rounded before the subtract.
+void reference_solve(const std::vector<double>& l, std::size_t n,
+                     double* b, std::size_t ldb, std::size_t m) {
+    for (std::size_t c = 0; c < m; ++c) {
+        for (std::size_t i = 0; i < n; ++i) {
+            double acc = b[i * ldb + c];
+            for (std::size_t k = 0; k < i; ++k) {
+                const double product = l[i * n + k] * b[k * ldb + c];
+                acc = acc - product;
+            }
+            b[i * ldb + c] = acc / l[i * n + i];
+        }
+    }
+}
+
+/// Every tier against the reference, at orders around the row loop's edges
+/// and column counts around the lane blocks (4, 16 and 32 columns on the
+/// scalar, AVX2 and AVX-512 tiers), with sentinel columns past m in every
+/// row of the block: a masked tail store must never write there.
+TEST(SimdBitExact, SolveLowerMultiMatchesReferenceOnEveryTier) {
+    constexpr std::size_t kPad = 3;
+    constexpr double kSentinel = -12345.5;
+    for (const std::size_t n : {1, 2, 7, 8, 9, 33, 257}) {
+        Rng rng(600 + n);
+        // Diagonal in [1, 2) and off-diagonal terms shrinking with the row
+        // keep every solution O(1) up to n = 257.
+        std::vector<double> l(n * n, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double shrink = 1.0 / std::sqrt(static_cast<double>(i + 1));
+            for (std::size_t k = 0; k < i; ++k) {
+                l[i * n + k] = rng.uniform(-0.5, 0.5) * shrink;
+            }
+            l[i * n + i] = rng.uniform(1.0, 2.0);
+        }
+        for (const std::size_t m : {1, 7, 31, 32, 33, 640}) {
+            const std::size_t ldb = m + kPad;
+            std::vector<double> b0(n * ldb, kSentinel);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t c = 0; c < m; ++c) {
+                    b0[i * ldb + c] = rng.uniform(-1.0, 1.0);
+                }
+            }
+            std::vector<double> ref = b0;
+            reference_solve(l, n, ref.data(), ldb, m);
+            for (const Tier t : available_tiers()) {
+                std::vector<double> b = b0;
+                kernels_for(t)->solve_lower_multi_f64(l.data(), n, b.data(),
+                                                      ldb, n, m);
+                EXPECT_EQ(std::memcmp(ref.data(), b.data(),
+                                      ref.size() * sizeof(double)),
+                          0)
+                    << "solve n=" << n << " m=" << m << " tier "
+                    << tier_name(t);
+            }
+        }
     }
 }
 
