@@ -101,6 +101,9 @@ void write_json(const std::string& path, const std::vector<JsonRecord>& records,
     if (!out) {
         throw std::runtime_error("experiments: cannot write " + path);
     }
+    // Round-trip precision (the run store's %.17g), so diffs of the JSON
+    // catch low-bit drift instead of comparing 6-digit roundings.
+    out.precision(17);
     out << "[\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const JsonRecord& r = records[i];
