@@ -492,7 +492,7 @@ void bench_fault_injection() {
         const fault::LogNormalDrift drift(0.5);
         volatile float sink = 0.0F;
         const double ns = time_ns([&] {
-            drift.apply(weights, rng);
+            drift.perturb(weights, rng);
             sink = sink + weights[0];
         });
         report("drift_injection", "65536", 1, ns, 0.0,
@@ -570,9 +570,9 @@ void bench_mc_evaluation() {
         const double ns = time_ns(
             [&] {
                 Rng inner(99);
-                rep = fault::evaluate_under_drift(model, blobs.images,
-                                                  blobs.labels, drift,
-                                                  kSamples, inner, threads);
+                rep = fault::evaluate_under_faults(model, blobs.images,
+                                                   blobs.labels, drift,
+                                                   kSamples, inner, threads);
             },
             2);
         report("mc_drift_eval", "mlp64x2_T16", threads, ns, 0.0);
@@ -612,7 +612,7 @@ void bench_search_throughput() {
         [&](models::ModelHandle& m, const core::Alpha&, Rng& r) {
             nn::train_classifier(*m.net, parts.train.images,
                                  parts.train.labels, epoch_config, r);
-            return core::drift_utility(*m.net, parts.test.images,
+            return core::fault_utility(*m.net, parts.test.images,
                                        parts.test.labels, objective, r);
         };
 
@@ -693,7 +693,7 @@ void bench_search_distributed() {
         models::ModelHandle model = models::make_mlp(options, r);
         nn::train_classifier(*model.net, parts.train.images,
                              parts.train.labels, epoch_config, r);
-        return core::drift_utility(*model.net, parts.test.images,
+        return core::fault_utility(*model.net, parts.test.images,
                                    parts.test.labels, objective, r);
     };
 

@@ -50,7 +50,7 @@ int main() {
     std::cout << "\nAccuracy under memristance drift (5 MC samples each):\n";
     for (double sigma : {0.3, 0.6, 0.9, 1.2}) {
         const fault::LogNormalDrift drift(sigma);
-        const auto report = fault::evaluate_under_drift(
+        const auto report = fault::evaluate_under_faults(
             *erm_model.net, parts.test.images, parts.test.labels, drift, 5,
             rng);
         std::cout << "  sigma = " << sigma << ": "
@@ -80,12 +80,12 @@ int main() {
     for (double sigma : {0.0, 0.3, 0.6, 0.9, 1.2}) {
         const fault::LogNormalDrift drift(sigma);
         const double erm_acc =
-            fault::evaluate_under_drift(*erm_model.net, parts.test.images,
-                                        parts.test.labels, drift, 5, rng)
+            fault::evaluate_under_faults(*erm_model.net, parts.test.images,
+                                         parts.test.labels, drift, 5, rng)
                 .mean_accuracy;
         const double bft_acc =
-            fault::evaluate_under_drift(*bft_model.net, parts.test.images,
-                                        parts.test.labels, drift, 5, rng)
+            fault::evaluate_under_faults(*bft_model.net, parts.test.images,
+                                         parts.test.labels, drift, 5, rng)
                 .mean_accuracy;
         table.add_row({sigma, erm_acc * 100.0, bft_acc * 100.0});
     }

@@ -81,14 +81,14 @@ int main() {
     for (double sigma : {0.0, 0.2, 0.4, 0.6, 0.8}) {
         const fault::LogNormalDrift drift(sigma);
         const double erm_acc =
-            fault::evaluate_under_drift(*erm_model.net, parts.test.images,
-                                        parts.test.labels, drift, 4,
-                                        eval_rng)
+            fault::evaluate_under_faults(*erm_model.net, parts.test.images,
+                                         parts.test.labels, drift, 4,
+                                         eval_rng)
                 .mean_accuracy;
         const double bft_acc =
-            fault::evaluate_under_drift(*bft_model.net, parts.test.images,
-                                        parts.test.labels, drift, 4,
-                                        eval_rng)
+            fault::evaluate_under_faults(*bft_model.net, parts.test.images,
+                                         parts.test.labels, drift, 4,
+                                         eval_rng)
                 .mean_accuracy;
         table.add_row({sigma, erm_acc * 100.0, bft_acc * 100.0});
     }

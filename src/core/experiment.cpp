@@ -4,78 +4,101 @@
 
 #include "core/method.hpp"
 #include "fault/evaluator.hpp"
-#include "utils/logging.hpp"
 
 namespace bayesft::core {
 
-ResultTable ExperimentResult::to_table(const std::string& title) const {
-    std::vector<std::string> columns{"sigma"};
-    for (const MethodCurve& curve : curves) columns.push_back(curve.method);
+ResultTable RegistryResult::to_table(const std::string& title,
+                                     double scale) const {
+    std::vector<std::string> columns{x_label};
+    for (const NamedCurve& curve : curves) columns.push_back(curve.label);
     ResultTable table(title, columns);
-    for (std::size_t i = 0; i < sigmas.size(); ++i) {
-        std::vector<double> row{sigmas[i]};
-        for (const MethodCurve& curve : curves) {
-            row.push_back(curve.accuracy[i] * 100.0);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        std::vector<double> row{xs[i]};
+        for (const NamedCurve& curve : curves) {
+            row.push_back(curve.values[i] * scale);
         }
         table.add_row(row);
     }
     return table;
 }
 
-namespace {
-
-/// Sigma sweep with a custom accuracy metric (standard or FTNA decode).
-/// `num_threads` follows the evaluate_metric_under_drift contract: pass 0
-/// (pool width) only for metrics that score the module they are handed.
-std::vector<double> sweep(
-    nn::Module& net, const std::vector<double>& sigmas,
-    std::size_t eval_samples, Rng& rng,
-    const std::function<double(nn::Module&)>& metric,
-    std::size_t num_threads) {
-    std::vector<double> curve;
-    curve.reserve(sigmas.size());
-    for (double sigma : sigmas) {
-        const fault::LogNormalDrift drift(sigma);
-        curve.push_back(fault::evaluate_metric_under_drift(
-                            net, drift, eval_samples, rng, metric,
-                            num_threads)
-                            .mean_accuracy);
-    }
-    return curve;
+std::unique_ptr<fault::FaultModel> lognormal_drift(double sigma) {
+    return std::make_unique<fault::LogNormalDrift>(sigma);
 }
 
-}  // namespace
+std::function<double(nn::Module&)> accuracy_on(const data::Dataset& test_set) {
+    return [&test_set](nn::Module& m) {
+        return nn::evaluate_accuracy(m, test_set.images, test_set.labels);
+    };
+}
 
-ExperimentResult run_classification_experiment(
+std::vector<NamedCurve> sweep_levels(const std::vector<SweepCurve>& curves,
+                                     const std::vector<double>& levels,
+                                     std::size_t mc_samples, Rng& rng) {
+    std::vector<NamedCurve> out;
+    for (const SweepCurve& curve : curves) out.push_back({curve.label, {}});
+    for (double level : levels) {
+        for (std::size_t i = 0; i < curves.size(); ++i) {
+            const SweepCurve& curve = curves[i];
+            const std::unique_ptr<fault::FaultModel> fault =
+                curve.fault(level);
+            const nn::ScopedInferenceMode mode(*curve.net, curve.mode);
+            out[i].values.push_back(
+                fault::evaluate_metric_under_faults(*curve.net, *fault,
+                                                    mc_samples, rng,
+                                                    curve.metric,
+                                                    curve.threads)
+                    .mean_accuracy);
+        }
+    }
+    return out;
+}
+
+std::vector<TrialRecord> to_trial_records(
+    const std::vector<bayesopt::Trial>& trials,
+    const std::vector<std::string>& points) {
+    std::vector<TrialRecord> records;
+    records.reserve(trials.size());
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+        records.push_back(
+            {i, i < points.size() ? points[i] : std::string(),
+             trials[i].y, trial_status_name(trials[i].status)});
+    }
+    return records;
+}
+
+RegistryResult run_classification_experiment(
     const ModelFactory& factory, const data::Dataset& train_set,
     const data::Dataset& test_set, std::size_t num_classes,
     const ExperimentConfig& config) {
     if (!factory) {
         throw std::invalid_argument("run_classification_experiment: no factory");
     }
-    ExperimentResult result;
-    result.sigmas = config.sigmas;
+    RegistryResult result;
+    result.x_label = "sigma";
+    result.xs = config.sigmas;
 
     for (const auto& method : make_methods(config.methods)) {
         Rng rng(config.seed + method->seed_offset());
         const TrainedMethod trained = method->train(
             factory, train_set, test_set, num_classes, config, rng);
         if (!trained.trials.empty()) {
-            result.bayesft_trials = trained.trials;
-            result.bayesft_trial_points = trained.trial_points;
-            result.bayesft_resumed = trained.resumed_trials;
+            result.trials =
+                to_trial_records(trained.trials, trained.trial_points);
+            result.resumed_trials = trained.resumed_trials;
         }
         if (!trained.search_completed) {
             // The search checkpointed out mid-run (stop_after): its model
             // is half-searched state, so skip the sweep — the caller
             // resumes with the same checkpoint path to finish the figure.
-            result.bayesft_completed = false;
+            result.search_completed = false;
             break;
         }
-        result.curves.push_back(
-            {method->name(),
-             sweep(*trained.net, config.sigmas, config.eval_samples, rng,
-                   trained.metric, trained.sweep_threads)});
+        const std::vector<NamedCurve> curve = sweep_levels(
+            {{method->name(), trained.net, trained.metric, lognormal_drift,
+              nn::InferenceMode::kFloat32, trained.sweep_threads}},
+            config.sigmas, config.eval_samples, rng);
+        result.curves.push_back(curve.front());
         if (!trained.best_alpha.empty()) {
             result.bayesft_alpha = trained.best_alpha;
         }

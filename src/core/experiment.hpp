@@ -1,18 +1,21 @@
 #pragma once
 // High-level experiment harness: trains every method on one task and sweeps
 // the drift level sigma, producing exactly the curves of the paper's
-// Fig. 3.  All fig3_* benches are thin wrappers over this.
+// Fig. 3, plus the fault-level sweep every registry scenario scores its
+// curves with (core/registry.cpp).
 
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/baselines.hpp"
 #include "core/bayesft.hpp"
+#include "core/registry.hpp"
 #include "data/dataset.hpp"
+#include "fault/model.hpp"
 #include "models/zoo.hpp"
-#include "utils/table.hpp"
+#include "nn/quant.hpp"
 
 namespace bayesft::core {
 
@@ -49,37 +52,53 @@ struct ExperimentConfig {
     std::uint64_t seed = 42;
 };
 
-/// One method's accuracy-vs-sigma curve.
-struct MethodCurve {
-    std::string method;
-    std::vector<double> accuracy;  ///< aligned with ExperimentConfig::sigmas
+/// A fault family: the fault model at sweep level `level` (a drift sigma,
+/// a stuck fraction, a flip probability, a word width, ...).
+using FaultFamily = std::unique_ptr<fault::FaultModel> (*)(double level);
+
+/// The paper's family: LogNormalDrift(sigma).
+std::unique_ptr<fault::FaultModel> lognormal_drift(double sigma);
+
+/// Accuracy on `test_set` of the module it is handed (replica-safe).
+std::function<double(nn::Module&)> accuracy_on(const data::Dataset& test_set);
+
+/// One curve of a fault-level sweep.
+struct SweepCurve {
+    std::string label;
+    nn::Module* net = nullptr;
+    /// Scores the perturbed module it is handed.
+    std::function<double(nn::Module&)> metric;
+    FaultFamily fault = lognormal_drift;
+    /// Forward arithmetic while scoring (restored afterwards).
+    nn::InferenceMode mode = nn::InferenceMode::kFloat32;
+    /// evaluate_metric_under_faults' thread budget: 0 (pool width) only
+    /// when `metric` scores the module it is handed; 1 when it closes over
+    /// shared state (FTNA decoding).
+    std::size_t threads = 0;
 };
 
-/// Result of a full experiment.
-struct ExperimentResult {
-    std::vector<double> sigmas;
-    std::vector<MethodCurve> curves;
-    std::vector<double> bayesft_alpha;  ///< best found dropout rates
-    /// Full BO trial history of the BayesFT search (for the run store),
-    /// with the decoded point strings aligned to it.
-    std::vector<bayesopt::Trial> bayesft_trials;
-    std::vector<std::string> bayesft_trial_points;
-    /// False when the BayesFT search checkpointed out at stop_after; the
-    /// BayesFT sweep curve is then absent.
-    bool bayesft_completed = true;
-    /// Leading trials the search restored from a checkpoint.
-    std::size_t bayesft_resumed = 0;
+/// Scores `curves` level by level: at each level, every curve in order
+/// takes one Monte-Carlo evaluation of `mc_samples` fault draws from
+/// `rng`, so the draw order is fixed by (levels, curves) alone.
+std::vector<NamedCurve> sweep_levels(const std::vector<SweepCurve>& curves,
+                                     const std::vector<double>& levels,
+                                     std::size_t mc_samples, Rng& rng);
 
-    /// Renders a Fig. 3-style table (rows = sigma, columns = methods,
-    /// cells = accuracy %).
-    ResultTable to_table(const std::string& title) const;
-};
+/// Zips a BO trial history with its decoded-point strings into run-store
+/// TrialRecords.
+std::vector<TrialRecord> to_trial_records(
+    const std::vector<bayesopt::Trial>& trials,
+    const std::vector<std::string>& points);
 
-/// Runs every enabled method on the task defined by (factory, data).
-ExperimentResult run_classification_experiment(const ModelFactory& factory,
-                                               const data::Dataset& train_set,
-                                               const data::Dataset& test_set,
-                                               std::size_t num_classes,
-                                               const ExperimentConfig& config);
+/// Runs every enabled method on the task defined by (factory, data):
+/// one accuracy-vs-sigma curve per method (x_label "sigma", xs =
+/// config.sigmas), the BayesFT search's trial log and best alpha.  When
+/// the search checkpoints out at stop_after, the result holds the curves
+/// of the methods before it and `search_completed` is false.
+RegistryResult run_classification_experiment(const ModelFactory& factory,
+                                             const data::Dataset& train_set,
+                                             const data::Dataset& test_set,
+                                             std::size_t num_classes,
+                                             const ExperimentConfig& config);
 
 }  // namespace bayesft::core

@@ -6,14 +6,6 @@ namespace bayesft::core {
 
 namespace {
 
-/// Standard-accuracy metric over the handed module (replica-safe).
-std::function<double(nn::Module&)> accuracy_metric(
-    const data::Dataset& test_set) {
-    return [&test_set](nn::Module& m) {
-        return nn::evaluate_accuracy(m, test_set.images, test_set.labels);
-    };
-}
-
 class ErmMethod : public Method {
 public:
     std::string name() const override { return "ERM"; }
@@ -31,7 +23,7 @@ public:
         TrainedMethod trained;
         trained.net = model->net.get();
         trained.holder = std::move(model);
-        trained.metric = accuracy_metric(test_set);
+        trained.metric = accuracy_on(test_set);
         return trained;
     }
 };
@@ -83,7 +75,7 @@ public:
         TrainedMethod trained;
         trained.net = model->net.get();
         trained.holder = std::move(model);
-        trained.metric = accuracy_metric(test_set);
+        trained.metric = accuracy_on(test_set);
         return trained;
     }
 };
@@ -107,7 +99,7 @@ public:
         TrainedMethod trained;
         trained.net = model->net.get();
         trained.holder = std::move(model);
-        trained.metric = accuracy_metric(test_set);
+        trained.metric = accuracy_on(test_set);
         return trained;
     }
 };
@@ -134,7 +126,7 @@ public:
         TrainedMethod trained;
         trained.net = model->net.get();
         trained.holder = std::move(model);
-        trained.metric = accuracy_metric(test_set);
+        trained.metric = accuracy_on(test_set);
         trained.best_alpha = search.best_alpha;
         trained.trials = search.trials;
         trained.trial_points = search.trial_points;

@@ -72,13 +72,6 @@ double fault_utility(nn::Module& model, const ObjectiveConfig& config,
                      Rng& rng,
                      const std::function<double(nn::Module&)>& metric);
 
-/// Thin alias from the drift-only era: see fault_utility.
-inline double drift_utility(nn::Module& model, const Tensor& images,
-                            const std::vector<int>& labels,
-                            const ObjectiveConfig& config, Rng& rng) {
-    return fault_utility(model, images, labels, config, rng);
-}
-
 /// Digests everything the utility depends on besides alpha and the model
 /// weights — metric, MC sample count, and the full fault configuration
 /// (describe() + params() of every model, or the sigma grid) — into one

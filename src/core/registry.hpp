@@ -8,12 +8,16 @@
 // MC-sample ablations, and a CI-sized toy task —
 // registered by name behind one entry point, so a single `experiments`
 // binary (and tests, and CI) can list and run any of them instead of one
-// hand-rolled driver per figure.  docs/experiments.md documents every
-// scenario with its paper figure, expected runtime, and CLI invocation.
+// hand-rolled driver per figure.  Each scenario is one row of the table in
+// registry.cpp, run by the function of its protocol (Fig. 3 panel, variant
+// sweep, fault search, arch search, ...).  docs/experiments.md documents
+// every scenario with its paper figure, expected runtime, and CLI
+// invocation.
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "utils/table.hpp"
@@ -92,17 +96,17 @@ struct TrialRecord {
 
 /// Normalized result shape every registered experiment produces.
 struct RegistryResult {
-    std::string experiment;
-    std::string x_label;  ///< "sigma", "mc_samples", "trial_budget", ...
-    std::vector<double> xs;
-    std::vector<NamedCurve> curves;
-    std::vector<double> bayesft_alpha;  ///< when a BayesFT search ran
+    std::string experiment{};
+    std::string x_label{};  ///< "sigma", "mc_samples", "trial_budget", ...
+    std::vector<double> xs{};
+    std::vector<NamedCurve> curves{};
+    std::vector<double> bayesft_alpha{};  ///< when a BayesFT search ran
     /// Free-form result note, e.g. the decoded best architecture point of
     /// an archsearch scenario ("norm=batch activation=gelu ...").
-    std::string annotation;
+    std::string annotation{};
     /// Full BO trial history of the scenario's search (empty when the
     /// scenario runs no search).  Feeds the run store.
-    std::vector<TrialRecord> trials;
+    std::vector<TrialRecord> trials{};
     /// Leading trials restored from a checkpoint: a prior invocation
     /// already persisted them, so the run store appends only the rest.
     std::size_t resumed_trials = 0;
@@ -124,13 +128,14 @@ struct ExperimentSpec {
     std::string family;
     std::string description;  ///< one line for --list
     std::function<RegistryResult(const RunOptions&)> run;
-    /// True when the scenario wires RunOptions::checkpoint/stop_after into
-    /// its search driver; the CLI rejects --checkpoint for scenarios that
-    /// would silently ignore it (pure sweeps, the multi-search ablation).
+    /// True when the scenario's protocol wires RunOptions::checkpoint/
+    /// stop_after into its search driver; the CLI rejects --checkpoint for
+    /// scenarios that would silently ignore it (pure sweeps, the
+    /// multi-search ablation).
     bool checkpointable = false;
     /// True when the scenario's candidate evaluations are self-contained
-    /// (a pure function of the encoded point — the archsearch family) and
-    /// RunOptions::workers is wired into its search driver.  The CLI
+    /// (a pure function of the encoded point — the arch-search protocol)
+    /// and RunOptions::workers is wired into its search driver.  The CLI
     /// rejects --workers elsewhere: evolving-theta searches cannot ship
     /// their weights across the worker pipe.
     bool distributable = false;
@@ -138,21 +143,15 @@ struct ExperimentSpec {
 
 /// Name -> scenario lookup over all built-in experiments.
 ///
-/// Thread safety: `instance()` is initialized once (magic static); the
-/// const lookups (list/names/find/run) are safe to call concurrently.
-/// `add` mutates the spec list and must not race with lookups.
+/// Thread safety: `instance()` is initialized once (magic static) and
+/// immutable afterwards; every lookup is safe to call concurrently.
 class ExperimentRegistry {
 public:
     /// The global registry with every built-in scenario registered.
     static const ExperimentRegistry& instance();
 
-    /// Registers a scenario; throws std::invalid_argument on a duplicate
-    /// or empty name.
-    void add(ExperimentSpec spec);
-
-    /// All specs in registration order.
+    /// All specs in table order.
     const std::vector<ExperimentSpec>& list() const { return specs_; }
-    std::vector<std::string> names() const;
 
     /// nullptr when unknown.
     const ExperimentSpec* find(const std::string& name) const;
@@ -162,6 +161,9 @@ public:
                        const RunOptions& options) const;
 
 private:
+    explicit ExperimentRegistry(std::vector<ExperimentSpec> specs)
+        : specs_(std::move(specs)) {}
+
     std::vector<ExperimentSpec> specs_;
 };
 

@@ -75,27 +75,4 @@ std::vector<double> sigma_sweep(nn::Module& model, const Tensor& images,
                                 const std::vector<double>& sigmas,
                                 std::size_t num_samples, Rng& rng);
 
-// ------------------------------------------------------------------------
-// Source-compat aliases from the drift-only era.  `evaluate_under_drift`
-// IS `evaluate_under_faults`; the old names remain so pre-zoo call sites
-// (and the paper-facing examples) keep compiling unchanged.
-
-/// Thin alias: see evaluate_under_faults.
-inline RobustnessReport evaluate_under_drift(
-    nn::Module& model, const Tensor& images, const std::vector<int>& labels,
-    const FaultModel& drift, std::size_t num_samples, Rng& rng,
-    std::size_t num_threads = 0) {
-    return evaluate_under_faults(model, images, labels, drift, num_samples,
-                                 rng, num_threads);
-}
-
-/// Thin alias: see evaluate_metric_under_faults.
-inline RobustnessReport evaluate_metric_under_drift(
-    nn::Module& model, const FaultModel& drift, std::size_t num_samples,
-    Rng& rng, const std::function<double(nn::Module&)>& metric,
-    std::size_t num_threads = 1) {
-    return evaluate_metric_under_faults(model, drift, num_samples, rng,
-                                        metric, num_threads);
-}
-
 }  // namespace bayesft::fault

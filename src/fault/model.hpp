@@ -67,16 +67,7 @@ public:
     /// The model's numeric parameters in a stable order (used to digest
     /// fault configurations into engine cache / RNG context keys).
     virtual std::vector<double> params() const = 0;
-
-    /// Pre-zoo spelling of `perturb`, kept so existing call sites and the
-    /// drift-era examples still read naturally.
-    void apply(std::span<float> weights, Rng& rng) const {
-        perturb(weights, rng);
-    }
 };
-
-/// Source-compat alias: the drift-only era called the interface DriftModel.
-using DriftModel = FaultModel;
 
 /// Composition: applies each child model in sequence on the same buffer and
 /// the same RNG stream (e.g. quantize -> variation -> drift, matching a
@@ -99,9 +90,6 @@ public:
 private:
     std::vector<std::unique_ptr<FaultModel>> stages_;
 };
-
-/// Source-compat alias for the drift-era composition class.
-using ComposedDrift = ComposedFault;
 
 /// Checks the no-hidden-state contract: two sequential `perturb` calls — on
 /// the original and on a fresh clone, each over an identical buffer with an

@@ -50,12 +50,12 @@ TEST_F(CoreFixture, DriftUtilityIsHighForTrainedRobustModel) {
     ObjectiveConfig objective;
     objective.sigmas = {0.0};
     objective.mc_samples = 2;
-    const double clean_utility = drift_utility(
+    const double clean_utility = fault_utility(
         *model.net, test_.images, test_.labels, objective, rng);
     EXPECT_GT(clean_utility, 0.9);
 
     objective.sigmas = {2.5};
-    const double drifted_utility = drift_utility(
+    const double drifted_utility = fault_utility(
         *model.net, test_.images, test_.labels, objective, rng);
     EXPECT_LT(drifted_utility, clean_utility);
 }
@@ -65,7 +65,7 @@ TEST_F(CoreFixture, DriftUtilityValidatesConfig) {
     models::ModelHandle model = make_model(3, rng);
     ObjectiveConfig objective;
     objective.sigmas = {};
-    EXPECT_THROW(drift_utility(*model.net, test_.images, test_.labels,
+    EXPECT_THROW(fault_utility(*model.net, test_.images, test_.labels,
                                objective, rng),
                  std::invalid_argument);
 }
@@ -80,7 +80,7 @@ TEST_F(CoreFixture, NegLossMetricIsFiniteAndOrdersLikeAccuracy) {
     objective.metric = ObjectiveMetric::kNegLoss;
     objective.sigmas = {0.2};
     objective.mc_samples = 2;
-    const double utility = drift_utility(*model.net, test_.images,
+    const double utility = fault_utility(*model.net, test_.images,
                                          test_.labels, objective, rng);
     EXPECT_TRUE(std::isfinite(utility));
     EXPECT_LT(utility, 0.0);  // -loss is negative
@@ -140,9 +140,9 @@ TEST_F(CoreFixture, BayesFTImprovesDriftRobustnessOverErm) {
         eval.sigmas = eval_sigma;
         eval.mc_samples = 6;
         Rng eval_rng(300 + seed);
-        erm_total += drift_utility(*erm_model.net, test_.images,
+        erm_total += fault_utility(*erm_model.net, test_.images,
                                    test_.labels, eval, eval_rng);
-        bayesft_total += drift_utility(*bft_model.net, test_.images,
+        bayesft_total += fault_utility(*bft_model.net, test_.images,
                                        test_.labels, eval, eval_rng);
     }
     EXPECT_GT(bayesft_total, erm_total);
@@ -244,23 +244,27 @@ TEST_F(CoreFixture, ExperimentHarnessProducesAllCurves) {
     config.bayesft.final_epochs = 1;
     config.ftna_code_bits = 8;
 
-    const ExperimentResult result = run_classification_experiment(
+    const RegistryResult result = run_classification_experiment(
         [](std::size_t outputs, Rng& rng) { return make_model(outputs, rng); },
         train_, test_, 3, config);
 
+    EXPECT_EQ(result.x_label, "sigma");
+    EXPECT_EQ(result.xs, config.sigmas);
     ASSERT_EQ(result.curves.size(), 5U);
-    EXPECT_EQ(result.curves[0].method, "ERM");
-    EXPECT_EQ(result.curves[4].method, "BayesFT");
+    EXPECT_EQ(result.curves[0].label, "ERM");
+    EXPECT_EQ(result.curves[4].label, "BayesFT");
     for (const auto& curve : result.curves) {
-        ASSERT_EQ(curve.accuracy.size(), 2U);
-        for (double acc : curve.accuracy) {
+        ASSERT_EQ(curve.values.size(), 2U);
+        for (double acc : curve.values) {
             EXPECT_GE(acc, 0.0);
             EXPECT_LE(acc, 1.0);
         }
     }
     EXPECT_FALSE(result.bayesft_alpha.empty());
+    EXPECT_EQ(result.trials.size(), 3U);  // the search's iterations
+    EXPECT_TRUE(result.search_completed);
 
-    const ResultTable table = result.to_table("test");
+    const ResultTable table = result.to_table("test", 100.0);
     EXPECT_EQ(table.columns().size(), 6U);  // sigma + 5 methods
     EXPECT_EQ(table.row_count(), 2U);
 }
@@ -274,11 +278,12 @@ TEST_F(CoreFixture, ExperimentMethodSubsetRespected) {
     config.methods.reram_v = false;
     config.methods.awp = false;
     config.methods.bayesft = false;
-    const ExperimentResult result = run_classification_experiment(
+    const RegistryResult result = run_classification_experiment(
         [](std::size_t outputs, Rng& rng) { return make_model(outputs, rng); },
         train_, test_, 3, config);
     ASSERT_EQ(result.curves.size(), 1U);
-    EXPECT_EQ(result.curves[0].method, "ERM");
+    EXPECT_EQ(result.curves[0].label, "ERM");
+    EXPECT_TRUE(result.trials.empty());
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // EvaluationEngine + experiment registry: serial bit-identity of the q = 1
 // path (classifier and fig3j's detector search), memoization-cache
 // behaviour, batch diversity, thread invariance of batched search, and
-// registry lookup/run.
+// the registry table: lookup, row shape, and every cheap row run quick.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bayesopt/bayesopt.hpp"
 #include "core/bayesft.hpp"
@@ -106,7 +109,7 @@ BayesFTResult reference_serial_search(models::ModelHandle& model,
         nn::train_classifier(*model.net, train_set.images, train_set.labels,
                              epoch_config, rng);
         const double utility =
-            drift_utility(*model.net, validation_set.images,
+            fault_utility(*model.net, validation_set.images,
                           validation_set.labels, config.objective, rng);
         bo.observe(alpha, utility);
     }
@@ -271,7 +274,7 @@ TEST_F(EngineFixture, DuplicateCandidatesInBatchAreCacheHits) {
     objective.mc_samples = 2;
     const CandidateEvaluator evaluator =
         [&](models::ModelHandle& m, const Alpha&, Rng& r) {
-            return drift_utility(*m.net, test_.images, test_.labels,
+            return fault_utility(*m.net, test_.images, test_.labels,
                                  objective, r);
         };
 
@@ -363,9 +366,11 @@ TEST_F(EngineFixture, BatchedSearchReportsEngineStatistics) {
 
 TEST(Registry, ListsAndFindsBuiltinExperiments) {
     const ExperimentRegistry& registry = ExperimentRegistry::instance();
-    const std::vector<std::string> names = registry.names();
-    EXPECT_GE(names.size(), 17U);
-    const std::set<std::string> name_set(names.begin(), names.end());
+    std::set<std::string> name_set;
+    for (const ExperimentSpec& spec : registry.list()) {
+        name_set.insert(spec.name);
+    }
+    EXPECT_GE(name_set.size(), 17U);
     for (const char* expected :
          {"fig2a_dropout", "fig2b_normalization", "fig2c_depth",
           "fig2d_activation", "fig3a_mlp_mnist", "fig3b_lenet_mnist",
@@ -379,6 +384,98 @@ TEST(Registry, ListsAndFindsBuiltinExperiments) {
     EXPECT_EQ(registry.find("no_such_experiment"), nullptr);
     EXPECT_THROW(registry.run("no_such_experiment", {}),
                  std::invalid_argument);
+}
+
+TEST(Registry, TableHasUniqueNamesAndNonEmptyFamilies) {
+    const std::vector<ExperimentSpec>& specs =
+        ExperimentRegistry::instance().list();
+    EXPECT_EQ(specs.size(), 31U);
+    std::set<std::string> names;
+    std::map<std::string, std::size_t> families;
+    std::size_t checkpointable = 0;
+    std::size_t distributable = 0;
+    for (const ExperimentSpec& spec : specs) {
+        EXPECT_TRUE(names.insert(spec.name).second)
+            << "duplicate scenario " << spec.name;
+        EXPECT_FALSE(spec.family.empty()) << spec.name;
+        EXPECT_FALSE(spec.description.empty()) << spec.name;
+        EXPECT_TRUE(spec.run) << spec.name;
+        ++families[spec.family];
+        checkpointable += spec.checkpointable ? 1 : 0;
+        distributable += spec.distributable ? 1 : 0;
+        // Only a checkpointable search can farm candidates to workers.
+        EXPECT_TRUE(spec.checkpointable || !spec.distributable) << spec.name;
+    }
+    for (const char* family :
+         {"fig2", "fig3", "faults", "archsearch", "ablation", "toy"}) {
+        EXPECT_GT(families[family], 0U) << family;
+    }
+    EXPECT_EQ(families.size(), 6U);
+    EXPECT_EQ(checkpointable, 17U);
+    EXPECT_EQ(distributable, 4U);
+}
+
+/// Every row cheap at --quick: each curve spans the sweep axis, and a row
+/// logs trials 0..n-1 exactly when it runs a resumable search.
+TEST(Registry, CheapRowsRunQuickWithAlignedCurvesAndTrialLogs) {
+    set_log_level(LogLevel::Error);
+    const ExperimentRegistry& registry = ExperimentRegistry::instance();
+    RunOptions options;
+    options.quick = true;
+    std::size_t ran = 0;
+    std::size_t faults = 0;
+    for (const ExperimentSpec& spec : registry.list()) {
+        const bool cheap = spec.family == "fig2" || spec.family == "faults" ||
+                           spec.family == "toy" ||
+                           spec.family == "ablation" ||
+                           spec.name == "fig3a_mlp_mnist" ||
+                           spec.name == "archsearch_fig2_mlp";
+        if (!cheap) continue;
+        ++ran;
+        faults += spec.family == "faults" ? 1 : 0;
+        const RegistryResult result = registry.run(spec.name, options);
+        EXPECT_EQ(result.experiment, spec.name);
+        EXPECT_TRUE(result.search_completed) << spec.name;
+        EXPECT_FALSE(result.xs.empty()) << spec.name;
+        ASSERT_FALSE(result.curves.empty()) << spec.name;
+        for (const NamedCurve& curve : result.curves) {
+            EXPECT_EQ(curve.values.size(), result.xs.size())
+                << spec.name << " curve " << curve.label;
+            if (spec.family == "ablation") continue;  // utilities, seconds
+            for (double v : curve.values) {
+                EXPECT_GE(v, 0.0) << spec.name << " " << curve.label;
+                EXPECT_LE(v, 1.0) << spec.name << " " << curve.label;
+            }
+        }
+        EXPECT_EQ(!result.trials.empty(), spec.checkpointable) << spec.name;
+        for (std::size_t i = 0; i < result.trials.size(); ++i) {
+            EXPECT_EQ(result.trials[i].index, i) << spec.name;
+        }
+    }
+    EXPECT_EQ(ran, 20U);
+    EXPECT_EQ(faults, 10U);  // the registered fault-family scenarios
+}
+
+/// ablation_bo_vs_random honours the search flags: a trust region from
+/// the first trial moves the GP-guided strategies but not random search.
+TEST(Registry, BoVsRandomAblationTakesTheSearchFlags) {
+    set_log_level(LogLevel::Error);
+    const ExperimentRegistry& registry = ExperimentRegistry::instance();
+    RunOptions options;
+    const RegistryResult plain = registry.run("ablation_bo_vs_random", options);
+    options.trust_region = true;
+    options.tr_after = 1;
+    const RegistryResult local = registry.run("ablation_bo_vs_random", options);
+    ASSERT_EQ(plain.curves.size(), 4U);
+    ASSERT_EQ(local.curves.size(), 4U);
+    bool moved = false;
+    for (std::size_t c = 0; c + 1 < plain.curves.size(); ++c) {
+        EXPECT_EQ(plain.curves[c].label, local.curves[c].label);
+        moved = moved || plain.curves[c].values != local.curves[c].values;
+    }
+    EXPECT_TRUE(moved) << "--trust-region left every BO curve unchanged";
+    EXPECT_EQ(plain.curves[3].label, "RandomSearch");
+    EXPECT_EQ(plain.curves[3].values, local.curves[3].values);
 }
 
 TEST(Registry, RunsToyExperimentQuick) {

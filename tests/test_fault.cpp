@@ -24,7 +24,7 @@ TEST(LogNormalDrift, ZeroSigmaIsIdentity) {
     LogNormalDrift drift(0.0);
     Rng rng(1);
     auto w = constant_weights(100, 2.0F);
-    drift.apply(w, rng);
+    drift.perturb(w, rng);
     for (float v : w) EXPECT_FLOAT_EQ(v, 2.0F);
 }
 
@@ -34,7 +34,7 @@ TEST(LogNormalDrift, PreservesSignAndMedian) {
     LogNormalDrift drift(0.8);
     Rng rng(2);
     auto w = constant_weights(100000, -1.0F);
-    drift.apply(w, rng);
+    drift.perturb(w, rng);
     std::size_t above = 0;
     for (float v : w) {
         EXPECT_LT(v, 0.0F);
@@ -48,7 +48,7 @@ TEST(LogNormalDrift, MeanMultiplierMatchesTheory) {
     LogNormalDrift drift(sigma);
     Rng rng(3);
     auto w = constant_weights(200000, 1.0F);
-    drift.apply(w, rng);
+    drift.perturb(w, rng);
     double mean = 0.0;
     for (float v : w) mean += v;
     mean /= static_cast<double>(w.size());
@@ -63,7 +63,7 @@ TEST(GaussianAdditiveDrift, ShiftsByNoise) {
     GaussianAdditiveDrift drift(0.5);
     Rng rng(4);
     auto w = constant_weights(100000, 3.0F);
-    drift.apply(w, rng);
+    drift.perturb(w, rng);
     double mean = 0.0, var = 0.0;
     for (float v : w) mean += v;
     mean /= static_cast<double>(w.size());
@@ -77,7 +77,7 @@ TEST(UniformScaleDrift, StaysWithinBand) {
     UniformScaleDrift drift(0.2);
     Rng rng(5);
     auto w = constant_weights(10000, 1.0F);
-    drift.apply(w, rng);
+    drift.perturb(w, rng);
     for (float v : w) {
         EXPECT_GE(v, 0.8F - 1e-6F);
         EXPECT_LE(v, 1.2F + 1e-6F);
@@ -88,7 +88,7 @@ TEST(StuckAtZeroDrift, ZeroesExpectedFraction) {
     StuckAtZeroDrift drift(0.25);
     Rng rng(6);
     auto w = constant_weights(100000, 1.0F);
-    drift.apply(w, rng);
+    drift.perturb(w, rng);
     std::size_t zeros = 0;
     for (float v : w) {
         if (v == 0.0F) ++zeros;
@@ -101,7 +101,7 @@ TEST(SignFlipDrift, FlipsExpectedFraction) {
     SignFlipDrift drift(0.1);
     Rng rng(7);
     auto w = constant_weights(100000, 1.0F);
-    drift.apply(w, rng);
+    drift.perturb(w, rng);
     std::size_t flipped = 0;
     for (float v : w) {
         if (v < 0.0F) ++flipped;
@@ -109,14 +109,14 @@ TEST(SignFlipDrift, FlipsExpectedFraction) {
     EXPECT_NEAR(static_cast<double>(flipped) / w.size(), 0.1, 0.01);
 }
 
-TEST(ComposedDrift, AppliesStagesInSequence) {
-    std::vector<std::unique_ptr<DriftModel>> stages;
+TEST(ComposedFault, AppliesStagesInSequence) {
+    std::vector<std::unique_ptr<FaultModel>> stages;
     stages.push_back(std::make_unique<UniformScaleDrift>(0.0));  // identity
     stages.push_back(std::make_unique<StuckAtZeroDrift>(1.0));   // zero all
-    ComposedDrift composed(std::move(stages));
+    ComposedFault composed(std::move(stages));
     Rng rng(8);
     auto w = constant_weights(10, 5.0F);
-    composed.apply(w, rng);
+    composed.perturb(w, rng);
     for (float v : w) EXPECT_FLOAT_EQ(v, 0.0F);
     EXPECT_NE(composed.describe().find("StuckAtZero"), std::string::npos);
 }
@@ -183,7 +183,7 @@ TEST_F(EvaluatorFixture, ZeroDriftEqualsCleanAccuracy) {
     Rng rng(13);
     const double clean =
         nn::evaluate_accuracy(*model_, blobs_.images, blobs_.labels);
-    const auto report = evaluate_under_drift(
+    const auto report = evaluate_under_faults(
         *model_, blobs_.images, blobs_.labels, LogNormalDrift(0.0), 3, rng);
     EXPECT_DOUBLE_EQ(report.mean_accuracy, clean);
     EXPECT_DOUBLE_EQ(report.std_accuracy, 0.0);
@@ -192,8 +192,8 @@ TEST_F(EvaluatorFixture, ZeroDriftEqualsCleanAccuracy) {
 TEST_F(EvaluatorFixture, WeightsRestoredAfterEvaluation) {
     Rng rng(14);
     const Tensor before = model_->parameters()[0]->value;
-    evaluate_under_drift(*model_, blobs_.images, blobs_.labels,
-                         LogNormalDrift(1.0), 5, rng);
+    evaluate_under_faults(*model_, blobs_.images, blobs_.labels,
+                          LogNormalDrift(1.0), 5, rng);
     EXPECT_TRUE(model_->parameters()[0]->value.equals(before));
 }
 
@@ -207,7 +207,7 @@ TEST_F(EvaluatorFixture, AccuracyDegradesWithSigma) {
 
 TEST_F(EvaluatorFixture, ReportStatisticsConsistent) {
     Rng rng(16);
-    const auto report = evaluate_under_drift(
+    const auto report = evaluate_under_faults(
         *model_, blobs_.images, blobs_.labels, LogNormalDrift(0.8), 10, rng);
     EXPECT_EQ(report.samples.size(), 10U);
     EXPECT_LE(report.min_accuracy, report.mean_accuracy);
@@ -219,15 +219,15 @@ TEST_F(EvaluatorFixture, ReportStatisticsConsistent) {
 
 TEST_F(EvaluatorFixture, RejectsZeroSamples) {
     Rng rng(17);
-    EXPECT_THROW(evaluate_under_drift(*model_, blobs_.images, blobs_.labels,
-                                      LogNormalDrift(0.5), 0, rng),
+    EXPECT_THROW(evaluate_under_faults(*model_, blobs_.images, blobs_.labels,
+                                       LogNormalDrift(0.5), 0, rng),
                  std::invalid_argument);
 }
 
 TEST_F(EvaluatorFixture, CustomMetricVariant) {
     Rng rng(18);
     int calls = 0;
-    const auto report = evaluate_metric_under_drift(
+    const auto report = evaluate_metric_under_faults(
         *model_, LogNormalDrift(0.5), 4, rng, [&](nn::Module&) {
             ++calls;
             return 0.5;

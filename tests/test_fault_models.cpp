@@ -1,7 +1,7 @@
 // The pluggable fault-model zoo: per-model semantics (stuck-at, bit-flip,
 // variation, quantization), the FaultModel stateless/determinism contract,
-// thread-count invariance of Monte-Carlo evaluation for every model, and a
-// registry smoke test over the "faults" experiment family.
+// and thread-count invariance of Monte-Carlo evaluation for every model.
+// The "faults" registry rows run in test_engine's registry table test.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "core/objective.hpp"
-#include "core/registry.hpp"
 #include "data/toy.hpp"
 #include "fault/drift.hpp"
 #include "fault/evaluator.hpp"
@@ -331,8 +330,7 @@ TEST(ComposedFault, DescribeAndParamsConcatenateStages) {
 }
 
 TEST(ComposedFault, EmptyChainIsIdentityAndNullStageThrows) {
-    // Pre-zoo ComposedDrift accepted an empty stage list as the identity;
-    // the compat alias keeps that contract.
+    // An empty stage list is the identity, as it was before the zoo.
     const ComposedFault empty(std::vector<std::unique_ptr<FaultModel>>{});
     auto w = ramp_weights(32);
     const auto before = w;
@@ -424,33 +422,6 @@ TEST(ObjectiveDigest, SeparatesFaultConfigurations) {
     EXPECT_NE(a, b);
     EXPECT_NE(b, c);
     EXPECT_EQ(b, core::objective_digest(stuckat));  // stable
-}
-
-// -------------------------------------------------- registry smoke ----
-
-TEST(FaultRegistry, EveryFaultsScenarioRunsQuick) {
-    const core::ExperimentRegistry& registry =
-        core::ExperimentRegistry::instance();
-    core::RunOptions options;
-    options.quick = true;
-    std::size_t found = 0;
-    for (const core::ExperimentSpec& spec : registry.list()) {
-        if (spec.family != "faults") continue;
-        ++found;
-        const core::RegistryResult result = registry.run(spec.name, options);
-        EXPECT_EQ(result.experiment, spec.name);
-        EXPECT_FALSE(result.xs.empty()) << spec.name;
-        ASSERT_FALSE(result.curves.empty()) << spec.name;
-        for (const core::NamedCurve& curve : result.curves) {
-            EXPECT_EQ(curve.values.size(), result.xs.size())
-                << spec.name << " curve " << curve.label;
-            for (double v : curve.values) {
-                EXPECT_GE(v, 0.0);
-                EXPECT_LE(v, 1.0);
-            }
-        }
-    }
-    EXPECT_EQ(found, 10U);  // the registered fault-family scenarios
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ TEST(DriftEvaluation, ReportInvariantUnderThreadCount) {
     std::vector<double> reference;
     for (const std::size_t threads : {1UL, 2UL, 3UL, 4UL, 7UL}) {
         Rng eval_rng(2024);
-        const auto report = fault::evaluate_under_drift(
+        const auto report = fault::evaluate_under_faults(
             model, blobs.images, blobs.labels, drift, 9, eval_rng, threads);
         ASSERT_EQ(report.samples.size(), 9U);
         if (reference.empty()) {
@@ -196,9 +196,9 @@ TEST(DriftEvaluation, ConvModelInvariantUnderThreadCount) {
     }
     const fault::LogNormalDrift drift(0.5);
     Rng rng_serial(5), rng_parallel(5);
-    const auto serial = fault::evaluate_under_drift(
+    const auto serial = fault::evaluate_under_faults(
         *model, images, labels, drift, 6, rng_serial, 1);
-    const auto parallel = fault::evaluate_under_drift(
+    const auto parallel = fault::evaluate_under_faults(
         *model, images, labels, drift, 6, rng_parallel, 4);
     EXPECT_EQ(serial.samples, parallel.samples);
     // The parent generator must advance identically on both paths.
@@ -212,8 +212,8 @@ TEST(DriftEvaluation, ParallelPathRestoresWeights) {
     model.set_training(false);
     const Tensor before = model.parameters()[0]->value;
     auto blobs = data::make_blobs(32, 2, 4.0, 0.4, rng);
-    fault::evaluate_under_drift(model, blobs.images, blobs.labels,
-                                fault::LogNormalDrift(1.0), 5, rng, 4);
+    fault::evaluate_under_faults(model, blobs.images, blobs.labels,
+                                 fault::LogNormalDrift(1.0), 5, rng, 4);
     EXPECT_TRUE(model.parameters()[0]->value.equals(before));
 }
 
