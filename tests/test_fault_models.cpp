@@ -330,7 +330,7 @@ TEST(ComposedFault, DescribeAndParamsConcatenateStages) {
 }
 
 TEST(ComposedFault, EmptyChainIsIdentityAndNullStageThrows) {
-    // An empty stage list is the identity, as it was before the zoo.
+    // An empty stage list is the identity perturbation.
     const ComposedFault empty(std::vector<std::unique_ptr<FaultModel>>{});
     auto w = ramp_weights(32);
     const auto before = w;
