@@ -1,6 +1,7 @@
 // Micro-benchmarks of the numeric substrates: the dispatched float GEMM
 // (including a comparison against the seed's scalar i-k-j kernel, and the
-// conv forward/dW/dx shape classes LeNet-5 training issues), batched conv
+// conv forward/dW/dx shape classes LeNet-5 training issues), the transposes
+// and AvgPool2d passes around those GEMMs, batched conv
 // forward/backward, GP fit and pooled acquisition (including one-thread
 // records at the arch search's shape and the multi-RHS solve alone),
 // per-fault-model injection throughput across
@@ -241,6 +242,59 @@ void bench_conv_gemm() {
                    std::to_string(m) + "x" + std::to_string(k) + "x" +
                        std::to_string(n),
                    parallel_thread_count(), ns, 2.0 * m * k * n);
+        }
+    }
+}
+
+/// The data movement around LeNet-5's training GEMMs at batch 32: the
+/// transposes (conv cols^T at 25 x 8192 and 54 x 2048, the first Linear's
+/// W^T at 64 x 256) and both AvgPool2d layers, forward and backward.
+/// Bytes count each element read once and written once.
+void bench_data_movement() {
+    Rng rng(5);
+    volatile float sink = 0.0F;
+    if (want("transpose")) {
+        struct Shape {
+            std::size_t m, n;
+        };
+        for (const Shape s : {Shape{25, 8192}, Shape{54, 2048},
+                              Shape{64, 256}}) {
+            const Tensor src = Tensor::randn({s.m, s.n}, rng);
+            Tensor dst({s.n, s.m});
+            const double ns = time_ns([&] {
+                transpose_into(src.data(), s.m, s.n, dst.data());
+                sink = sink + dst[0];
+            });
+            report("transpose",
+                   std::to_string(s.m) + "x" + std::to_string(s.n), 1, ns,
+                   0.0, 2.0 * 4.0 * static_cast<double>(s.m * s.n));
+        }
+    }
+    for (const std::vector<std::size_t>& shape :
+         {std::vector<std::size_t>{32, 6, 16, 16},
+          std::vector<std::size_t>{32, 16, 8, 8}}) {
+        nn::AvgPool2d pool(2);
+        const Tensor input = Tensor::randn(shape, rng);
+        const Tensor grad = Tensor::randn(pool.forward(input).shape(), rng);
+        const double bytes = 4.0 * static_cast<double>(input.size() +
+                                                       grad.size());
+        const std::string label = std::to_string(shape[0]) + "x" +
+                                  std::to_string(shape[1]) + "x" +
+                                  std::to_string(shape[2]) + "x" +
+                                  std::to_string(shape[3]);
+        if (want("avgpool2d_forward")) {
+            const double ns = time_ns([&] {
+                Tensor out = pool.forward(input);
+                sink = sink + out[0];
+            });
+            report("avgpool2d_forward", label, 1, ns, 0.0, bytes);
+        }
+        if (want("avgpool2d_backward")) {
+            const double ns = time_ns([&] {
+                Tensor gin = pool.backward(grad);
+                sink = sink + gin[0];
+            });
+            report("avgpool2d_backward", label, 1, ns, 0.0, bytes);
         }
     }
 }
@@ -848,6 +902,7 @@ int main(int argc, char** argv) {
                 parallel_thread_count());
     bench_gemm();
     bench_conv_gemm();
+    bench_data_movement();
     bench_conv();
     bench_gp();
     bench_fault_injection();

@@ -60,7 +60,7 @@ void train_awp(models::ModelHandle& model, const data::Dataset& train_set,
             opt.zero_grad();
             const Tensor logits = net.forward(b.images);
             const nn::LossResult loss = nn::cross_entropy(logits, b.labels);
-            net.backward(loss.grad);
+            net.backward_params(loss.grad);
 
             std::vector<Tensor> deltas;
             deltas.reserve(params.size());
@@ -85,7 +85,7 @@ void train_awp(models::ModelHandle& model, const data::Dataset& train_set,
             const Tensor adv_logits = net.forward(b.images);
             const nn::LossResult adv_loss =
                 nn::cross_entropy(adv_logits, b.labels);
-            net.backward(adv_loss.grad);
+            net.backward_params(adv_loss.grad);
 
             // Restore the clean weights, then step with adversarial grads.
             for (std::size_t i = 0; i < params.size(); ++i) {
@@ -148,7 +148,7 @@ void FtnaClassifier::train(const data::Dataset& train_set,
             opt.zero_grad();
             const Tensor logits = net.forward(b.images);
             const nn::LossResult loss = nn::bce_with_logits(logits, targets);
-            net.backward(loss.grad);
+            net.backward_params(loss.grad);
             opt.step();
         }
     }

@@ -133,7 +133,7 @@ double GridDetector::train_with(
             const Tensor pred = net.forward(batch_images);
             const nn::LossResult loss =
                 nn::mse(pred, batch_targets, batch_weights);
-            net.backward(loss.grad);
+            net.backward_params(loss.grad);
             opt.step();
             loss_sum += loss.value;
             ++batches;

@@ -37,6 +37,46 @@ void ensure_size(std::vector<T>& buffer, std::size_t n) {
     if (buffer.size() < n) buffer.resize(n);
 }
 
+/// out[r] += float(sum of row r) for the `rows` rows of length `len` at g
+/// (leading dim len), each sum a double chain from +0 over the row in
+/// order.  N rows at a time run side by side, so their chains overlap;
+/// the remainder goes through N - 1.
+template <std::size_t N = 4>
+void add_row_sums(const float* g, std::size_t len, std::size_t rows,
+                  float* out) {
+    for (; rows >= N; rows -= N, g += N * len, out += N) {
+        double acc[N] = {};
+        for (std::size_t p = 0; p < len; ++p) {
+            for (std::size_t i = 0; i < N; ++i) acc[i] += g[i * len + p];
+        }
+        for (std::size_t i = 0; i < N; ++i) {
+            out[i] += static_cast<float>(acc[i]);
+        }
+    }
+    if constexpr (N > 1) {
+        if (rows > 0) add_row_sums<N - 1>(g, len, rows, out);
+    }
+}
+
+/// Averages N adjacent pooling windows (the first at `win`, the next
+/// `stride` floats on) into out[0..N).  The N sums run side by side, so
+/// their dependency chains overlap, but each keeps its own order: from +0,
+/// rows top to bottom, left to right within a row.
+template <std::size_t N>
+void average_windows(const float* win, std::size_t w, std::size_t kernel,
+                     std::size_t stride, float inv, float* out) {
+    double acc[N] = {};
+    for (std::size_t ky = 0; ky < kernel; ++ky) {
+        const float* row = win + ky * w;
+        for (std::size_t kx = 0; kx < kernel; ++kx) {
+            for (std::size_t i = 0; i < N; ++i) acc[i] += row[i * stride + kx];
+        }
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+        out[i] = static_cast<float>(acc[i]) * inv;
+    }
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -101,9 +141,8 @@ Tensor Conv2d::forward(const Tensor& input) {
             }
         });
         // One large GEMM for the group: [OC, patch] @ [patch, gs*positions].
-        std::fill_n(gemm_scratch_.data(), out_channels_ * gp, 0.0F);
-        gemm_accumulate(weight_.value.data(), cols_scratch_.data(),
-                        gemm_scratch_.data(), out_channels_, patch, gp);
+        gemm_overwrite(weight_.value.data(), cols_scratch_.data(),
+                       gemm_scratch_.data(), out_channels_, patch, gp);
         // Scatter back to [N, OC, positions] layout, adding the bias.
         parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
@@ -203,6 +242,16 @@ Tensor Conv2d::forward_fixed_point(const Tensor& input) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+    Tensor grad_input(cached_input_.shape());
+    backward_into(grad_output, &grad_input);
+    return grad_input;
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+    backward_into(grad_output, nullptr);
+}
+
+void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
     require_nchw(grad_output, "Conv2d::backward");
     const ConvGeometry g = geometry_for(cached_input_);
     const std::size_t n = cached_input_.dim(0);
@@ -215,15 +264,17 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                     shape_to_string(grad_output.shape()));
     }
 
-    Tensor grad_input(cached_input_.shape());
     const std::size_t image_stride = in_channels_ * g.in_h * g.in_w;
     const std::size_t group = conv_group_size(n, patch, positions);
     ensure_size(cols_scratch_, patch * group * positions);
     ensure_size(grad_scratch_, out_channels_ * group * positions);
     ensure_size(colsT_scratch_, group * positions * patch);
     // W^T once per call: the dcols GEMM streams contiguous rows of it.
-    Tensor wt({patch, out_channels_});
-    transpose_into(weight_.value.data(), out_channels_, patch, wt.data());
+    Tensor wt;
+    if (grad_input != nullptr) {
+        wt = Tensor({patch, out_channels_});
+        transpose_into(weight_.value.data(), out_channels_, patch, wt.data());
+    }
     for (std::size_t g0 = 0; g0 < n; g0 += group) {
         const std::size_t gs = std::min(group, n - g0);
         const std::size_t gp = gs * positions;
@@ -256,26 +307,21 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         gemm_accumulate(grad_scratch_.data(), colsT_scratch_.data(),
                         weight_.grad.data(), out_channels_, gp, patch);
         // db += row sums of G.
-        for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-            const float* row = grad_scratch_.data() + oc * gp;
-            double acc = 0.0;
-            for (std::size_t p = 0; p < gp; ++p) acc += row[p];
-            bias_.grad[oc] += static_cast<float>(acc);
-        }
+        add_row_sums(grad_scratch_.data(), gp, out_channels_,
+                     bias_.grad.data());
+        if (grad_input == nullptr) continue;
         // dcols = W^T @ G, folded back into the input gradient.  The cols
         // buffer is dead after the dW product, so reuse it for dcols.
         cols_hold_input_ = false;
-        std::fill_n(cols_scratch_.data(), patch * gp, 0.0F);
-        gemm_accumulate(wt.data(), grad_scratch_.data(), cols_scratch_.data(),
-                        patch, out_channels_, gp);
+        gemm_overwrite(wt.data(), grad_scratch_.data(), cols_scratch_.data(),
+                       patch, out_channels_, gp);
         parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
                 col2im(cols_scratch_.data() + s * positions, g,
-                       grad_input.data() + (g0 + s) * image_stride, gp);
+                       grad_input->data() + (g0 + s) * image_stride, gp);
             }
         });
     }
-    return grad_input;
 }
 
 void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
@@ -428,20 +474,20 @@ Tensor AvgPool2d::forward(const Tensor& input) {
     input_shape_ = input.shape();
     Tensor output({n, c, oh, ow});
     const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
-    for (std::size_t s = 0; s < n; ++s) {
-        for (std::size_t ch = 0; ch < c; ++ch) {
-            const float* plane = input.data() + (s * c + ch) * h * w;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox) {
-                    double acc = 0.0;
-                    for (std::size_t ky = 0; ky < kernel_; ++ky) {
-                        for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                            acc += plane[(oy * stride_ + ky) * w +
-                                         (ox * stride_ + kx)];
-                        }
-                    }
-                    output(s, ch, oy, ox) = static_cast<float>(acc) * inv;
-                }
+    for (std::size_t p = 0; p < n * c; ++p) {
+        const float* plane = input.data() + p * h * w;
+        float* out = output.data() + p * oh * ow;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            const float* win = plane + oy * stride_ * w;
+            float* orow = out + oy * ow;
+            std::size_t ox = 0;
+            for (; ox + 4 <= ow; ox += 4) {
+                average_windows<4>(win + ox * stride_, w, kernel_, stride_,
+                                   inv, orow + ox);
+            }
+            for (; ox < ow; ++ox) {
+                average_windows<1>(win + ox * stride_, w, kernel_, stride_,
+                                   inv, orow + ox);
             }
         }
     }
@@ -460,17 +506,20 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
     }
     Tensor grad_input(input_shape_);
     const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
-    for (std::size_t s = 0; s < n; ++s) {
-        for (std::size_t ch = 0; ch < c; ++ch) {
-            float* plane = grad_input.data() + (s * c + ch) * h * w;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
+    // Each input element takes its additions in window (oy, ox) order,
+    // starting from +0: oy is the outer loop, and within one output row an
+    // element lies in one window row ky and takes the windows ox ascending.
+    for (std::size_t p = 0; p < n * c; ++p) {
+        float* plane = grad_input.data() + p * h * w;
+        const float* gout = grad_output.data() + p * oh * ow;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ky = 0; ky < kernel_; ++ky) {
+                float* row = plane + (oy * stride_ + ky) * w;
                 for (std::size_t ox = 0; ox < ow; ++ox) {
-                    const float g = grad_output(s, ch, oy, ox) * inv;
-                    for (std::size_t ky = 0; ky < kernel_; ++ky) {
-                        for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                            plane[(oy * stride_ + ky) * w +
-                                  (ox * stride_ + kx)] += g;
-                        }
+                    const float g = gout[oy * ow + ox] * inv;
+                    float* win = row + ox * stride_;
+                    for (std::size_t kx = 0; kx < kernel_; ++kx) {
+                        win[kx] += g;
                     }
                 }
             }

@@ -25,6 +25,9 @@ public:
 
     Tensor forward(const Tensor& input) override;
     Tensor backward(const Tensor& grad_output) override;
+    /// dW and db without W^T, the dcols GEMM, col2im or the input
+    /// gradient.
+    void backward_params(const Tensor& grad_output) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
@@ -44,6 +47,9 @@ private:
 
     ConvGeometry geometry_for(const Tensor& input) const;
     Tensor forward_fixed_point(const Tensor& input);
+    /// Accumulates dW and db; folds the input gradient into *grad_input
+    /// (zero-filled, the input's shape) unless it is null.
+    void backward_into(const Tensor& grad_output, Tensor* grad_input);
 
     std::size_t in_channels_;
     std::size_t out_channels_;
@@ -60,7 +66,7 @@ private:
     // True while cols_scratch_ holds the unfold of cached_input_'s whole
     // batch (a float forward that ran as one group); backward then skips
     // its im2col.  Cleared by the fixed-point forward and by the backward
-    // that overwrites cols_scratch_ with dcols.
+    // that overwrites cols_scratch_ with dcols (backward_params leaves it).
     bool cols_hold_input_ = false;
     std::vector<float> gemm_scratch_;    // [out_channels, group*positions]
     std::vector<float> grad_scratch_;    // backward: grad slab [OC, group*P]

@@ -82,12 +82,17 @@ Tensor Linear::forward_fixed_point(const Tensor& input) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+    backward_params(grad_output);
+    return matmul(grad_output, weight_.value);  // dX = dY W
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
     if (grad_output.rank() != 2 || grad_output.dim(1) != out_features_ ||
         grad_output.dim(0) != cached_input_.dim(0)) {
         throw std::invalid_argument("Linear::backward: bad grad shape " +
                                     shape_to_string(grad_output.shape()));
     }
-    // dW = dY^T X ; db = column sums of dY ; dX = dY W.
+    // dW = dY^T X ; db = column sums of dY.
     weight_.grad.add_(matmul_tn(grad_output, cached_input_));
     const std::size_t n = grad_output.dim(0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -96,7 +101,6 @@ Tensor Linear::backward(const Tensor& grad_output) {
             bias_.grad[j] += row[j];
         }
     }
-    return matmul(grad_output, weight_.value);
 }
 
 void Linear::collect_parameters(std::vector<Parameter*>& out) {

@@ -23,6 +23,8 @@ public:
 
     Tensor forward(const Tensor& input) override;
     Tensor backward(const Tensor& grad_output) override;
+    /// dW and db without the dX product.
+    void backward_params(const Tensor& grad_output) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;

@@ -5,6 +5,10 @@
 
 namespace bayesft::nn {
 
+void Module::backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+}
+
 void Module::collect_parameters(std::vector<Parameter*>&) {}
 
 void Module::collect_buffers(std::vector<Tensor*>&) {}
@@ -39,6 +43,20 @@ Tensor Sequential::backward(const Tensor& grad_output) {
         current = (*it)->backward(current);
     }
     return current;
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+    std::size_t first = 0;
+    while (first < children_.size() &&
+           children_[first]->parameters().empty()) {
+        ++first;
+    }
+    if (first == children_.size()) return;
+    Tensor current = grad_output;
+    for (std::size_t i = children_.size() - 1; i > first; --i) {
+        current = children_[i]->backward(current);
+    }
+    children_[first]->backward_params(current);
 }
 
 void Sequential::collect_children(std::vector<Module*>& out) {

@@ -36,6 +36,10 @@ struct Parameter {
 /// Contract: `backward` must be called after `forward` with a gradient of
 /// the same shape as the most recent forward output; it accumulates into
 /// the parameters' `grad` fields and returns the gradient w.r.t. the input.
+/// `backward_params` has the same precondition and accumulates the same
+/// parameter gradients, bit for bit, but returns no input gradient: it is
+/// the entry point of a training step, whose loop drops the gradient of
+/// the model's input.
 class Module {
 public:
     virtual ~Module() = default;
@@ -48,6 +52,11 @@ public:
 
     /// Propagates gradients; accumulates parameter grads.
     virtual Tensor backward(const Tensor& grad_output) = 0;
+
+    /// Accumulates parameter grads only.  The default runs `backward` and
+    /// drops its result; layers override it to skip the input-gradient
+    /// work.
+    virtual void backward_params(const Tensor& grad_output);
 
     /// Deep structural copy carrying the current parameter values, buffers
     /// and train/eval flag (but no cached forward state).  Used to build
@@ -118,6 +127,10 @@ public:
 
     Tensor forward(const Tensor& input) override;
     Tensor backward(const Tensor& grad_output) override;
+    /// Runs `backward` down to the first child that owns parameters, then
+    /// that child's `backward_params`; the parameter-free children before
+    /// it (an MLP's Flatten) are skipped.
+    void backward_params(const Tensor& grad_output) override;
     void collect_children(std::vector<Module*>& out) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     void collect_buffers(std::vector<Tensor*>& out) override;

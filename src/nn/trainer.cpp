@@ -69,7 +69,7 @@ std::vector<EpochStats> train_classifier(
             opt->zero_grad();
             const Tensor logits = model.forward(b.images);
             const LossResult loss = cross_entropy(logits, b.labels);
-            model.backward(loss.grad);
+            model.backward_params(loss.grad);
             opt->step();
             loss_sum += loss.value;
             ++batches;

@@ -18,8 +18,9 @@
 // the vector tiers do (explicit std::fma) and nowhere else.
 // tests/test_simd.cpp pins the contract for every fault model, every
 // activation, GEMM edge-tile shapes (against an independent per-element
-// fma-chain reference), and the f64 multi-RHS solve (against a
-// multiply-then-subtract reference).
+// fma-chain reference), the f64 multi-RHS solve (against a
+// multiply-then-subtract reference), and the transpose (against a naive
+// copy loop, at every edge-tile extent).
 //
 // RNG stream layout: the fault kernels consume randomness through
 // kLanes = 16 deterministic logical lanes derived from the caller's Rng
@@ -114,6 +115,13 @@ struct KernelTable {
     void (*qgemm_nt)(const std::int16_t* a, const std::int16_t* b,
                      float* c, std::size_t m, std::size_t k, std::size_t n,
                      float scale);
+    /// dst[j*m + i] = src[i*n + j] for a dense row-major m×n src (dst is
+    /// n×m).  Moves W×W tiles through registers (16×16 on AVX-512, 8×8 on
+    /// AVX2, 4×4 on NEON, element by element on scalar); edge tiles use
+    /// masked partial loads and stores, so it reads exactly the m×n block
+    /// and writes exactly the n×m block.  Bits are copied, never changed.
+    void (*transpose_f32)(const float* src, std::size_t m, std::size_t n,
+                          float* dst);
 
     // -- f64 triangular solve (GP acquisition) ---------------------------
     /// Solves L Y = B in place for the m right-hand sides stored as the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 
 namespace bayesft {
@@ -21,18 +22,7 @@ void require_rank2(const Tensor& t, const char* who) {
 
 void transpose_into(const float* src, std::size_t m, std::size_t n,
                     float* dst) {
-    constexpr std::size_t kTile = 32;
-    for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
-        const std::size_t i1 = std::min(m, i0 + kTile);
-        for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
-            const std::size_t j1 = std::min(n, j0 + kTile);
-            for (std::size_t i = i0; i < i1; ++i) {
-                for (std::size_t j = j0; j < j1; ++j) {
-                    dst[j * m + i] = src[i * n + j];
-                }
-            }
-        }
-    }
+    simd::kernels().transpose_f32(src, m, n, dst);
 }
 
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
@@ -40,16 +30,10 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
     detail::gemm_parallel(a, k, b, n, c, n, m, k, n);
 }
 
-namespace {
-
-/// C = A @ B (overwrite): skips the read-modify-write of the accumulate
-/// form for ops that produce a fresh output.
 void gemm_overwrite(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) {
     detail::gemm_parallel_f32(a, k, b, n, c, n, m, k, n, false);
 }
-
-}  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
     require_rank2(a, "matmul(a)");

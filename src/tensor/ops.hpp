@@ -24,6 +24,12 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n);
 
+/// C = A @ B on the same raw buffers, overwriting C: every element's fma
+/// chain starts from +0, exactly as gemm_accumulate's does on a zero-filled
+/// C, so callers producing a fresh output skip the zero fill.
+void gemm_overwrite(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t k, std::size_t n);
+
 /// C = A^T @ B for A:[k,m], B:[k,n] -> C:[m,n].  Materializes A^T (an
 /// O(km) copy) and runs the row-major GEMM on it.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
@@ -35,12 +41,13 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// Transposed copy of a 2-d tensor.
 Tensor transpose(const Tensor& a);
 
-/// Cache-blocked raw-buffer transpose: dst[j, i] = src[i, j] for src:[m,n].
+/// Raw-buffer transpose: dst[j, i] = src[i, j] for src:[m,n], through the
+/// SIMD layer's register-tile kernel (simd::KernelTable::transpose_f32).
 void transpose_into(const float* src, std::size_t m, std::size_t n,
                     float* dst);
 
-/// Element-type-generic variant of transpose_into (same tiling); used by
-/// the fixed-point conv path to transpose int16 code matrices.
+/// Element-type-generic cache-blocked transpose (dst[j, i] = src[i, j]);
+/// used by the fixed-point conv path to transpose int16 code matrices.
 template <typename T>
 void transpose_into_t(const T* src, std::size_t m, std::size_t n, T* dst) {
     constexpr std::size_t kTile = 32;

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/baselines.hpp"
 #include "core/bayesft.hpp"
 #include "core/experiment.hpp"
 #include "core/objective.hpp"
+#include "data/digits.hpp"
 #include "data/toy.hpp"
 #include "utils/logging.hpp"
 
@@ -202,6 +204,37 @@ TEST_F(CoreFixture, AwpTrainsToUsableAccuracy) {
             train_awp(model, train_, bad, rng);
         }(),
         std::invalid_argument);
+}
+
+/// At gamma = 0 AWP's ascent step moves no weight, so its descent takes
+/// ERM's gradient and it must end on ERM's weights bit for bit (LeNet, 300
+/// digits, two epochs).  This pins both of its backward passes.
+TEST(Awp, ZeroGammaMatchesErmBitwise) {
+    data::DigitConfig digits;
+    digits.samples = 300;
+    Rng data_rng(31);
+    const data::Dataset train = data::synthetic_digits(digits, data_rng);
+    Rng init_erm(32);
+    Rng init_awp(32);
+    models::ModelHandle erm = models::make_lenet5(1, 16, 10, init_erm);
+    models::ModelHandle awp = models::make_lenet5(1, 16, 10, init_awp);
+    AwpConfig config;
+    config.train.epochs = 2;
+    config.gamma = 0.0;
+    Rng rng_erm(33);
+    Rng rng_awp(33);
+    train_erm(erm, train, config.train, rng_erm);
+    train_awp(awp, train, config, rng_awp);
+
+    const auto pe = erm.net->parameters();
+    const auto pa = awp.net->parameters();
+    ASSERT_EQ(pe.size(), pa.size());
+    for (std::size_t i = 0; i < pe.size(); ++i) {
+        EXPECT_EQ(std::memcmp(pe[i]->value.data(), pa[i]->value.data(),
+                              pe[i]->value.size() * sizeof(float)),
+                  0)
+            << "parameter " << i << " (" << pe[i]->name << ")";
+    }
 }
 
 TEST_F(CoreFixture, FtnaTrainsAndDecodesAboveChance) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -17,6 +18,7 @@
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/trainer.hpp"
+#include "simd/kernels.hpp"
 
 namespace bayesft::fault {
 namespace {
@@ -284,6 +286,94 @@ TEST(QuantizationFault, AllZeroSpanStaysZero) {
     Rng rng(12);
     fault.perturb(w, rng);
     for (float v : w) EXPECT_FLOAT_EQ(v, 0.0F);
+}
+
+// ---------------------------------------------------- int12 boundaries ----
+
+/// Every SIMD tier this build and CPU can run.
+std::vector<simd::Tier> runnable_tiers() {
+    std::vector<simd::Tier> tiers;
+    for (const simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2,
+                               simd::Tier::kAvx512, simd::Tier::kNeon}) {
+        if (simd::tier_available(t)) tiers.push_back(t);
+    }
+    return tiers;
+}
+
+/// The 12-bit grid step used below: a power of two, so every code times
+/// it, and every half step, is exact in float.  A span whose max|w| is
+/// 2047 steps has exactly this scale.
+constexpr float kStep12 = 0x1.0p-10F;
+
+/// `pattern` repeated to 37 weights (in steps), so each tier's vector body
+/// and its scalar tail both see every value.
+std::vector<float> int12_span(const std::vector<float>& pattern) {
+    std::vector<float> w(37);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        w[i] = pattern[i % pattern.size()] * kStep12;
+    }
+    return w;
+}
+
+/// QuantizationFault(12) against the DAC12 appnote's 12-bit
+/// two's-complement word (SNIPPETS.md): full scale is +/-2047, ties round
+/// away from zero, and the symmetric grid never emits -2048.
+TEST(Int12Boundaries, QuantizationFaultCodesOnEveryTier) {
+    const std::vector<float> steps = {2047.0F, -2047.0F, 2046.5F, -2046.5F,
+                                      0.5F,    -0.5F,    1.5F,    -1.5F,
+                                      0.0F,    2046.49F};
+    const std::vector<float> codes = {2047.0F, -2047.0F, 2047.0F, -2047.0F,
+                                      1.0F,    -1.0F,    2.0F,    -2.0F,
+                                      0.0F,    2046.0F};
+    const QuantizationFault fault(12);
+    for (const simd::Tier t : runnable_tiers()) {
+        simd::TierOverride tier(t);
+        std::vector<float> w = int12_span(steps);
+        Rng rng(13);
+        fault.perturb(w, rng);
+        for (std::size_t i = 0; i < w.size(); ++i) {
+            EXPECT_EQ(w[i] / kStep12, codes[i % codes.size()])
+                << "weight " << steps[i % steps.size()] << " steps, tier "
+                << simd::tier_name(t);
+        }
+
+        // Random weights pinned to max|w| = 2047 steps by a -2047 entry:
+        // no code below -2047.
+        Rng data(14);
+        std::vector<float> r(1000);
+        for (float& v : r) {
+            v = static_cast<float>(data.uniform(-2047.0, 2047.0)) * kStep12;
+        }
+        r[500] = -2047.0F * kStep12;
+        fault.perturb(r, rng);
+        float lowest = 0.0F;
+        for (const float v : r) lowest = std::min(lowest, v / kStep12);
+        EXPECT_EQ(lowest, -2047.0F) << simd::tier_name(t);
+    }
+}
+
+/// BitFlipFault(1.0, 12) flips all 12 bits of each code c, giving -c-1:
+/// 0 -> -1 (word 0xFFF, the appnote's -1), 2047 -> -2048 (0x800) and
+/// -2047 -> 2046.
+TEST(Int12Boundaries, BitFlipFaultComplementsEveryCodeOnEveryTier) {
+    const std::vector<float> steps = {0.0F, 2047.0F, -2047.0F, 1.0F, -1.0F};
+    const std::vector<int> flipped = {-1, -2048, 2046, -2, 0};
+    const std::vector<int> words = {0xFFF, 0x800, 0x7FE, 0xFFE, 0x000};
+    const BitFlipFault fault(1.0, 12);
+    for (const simd::Tier t : runnable_tiers()) {
+        simd::TierOverride tier(t);
+        std::vector<float> w = int12_span(steps);
+        Rng rng(15);
+        fault.perturb(w, rng);
+        for (std::size_t i = 0; i < w.size(); ++i) {
+            const float code = w[i] / kStep12;
+            const std::size_t k = i % steps.size();
+            EXPECT_EQ(code, static_cast<float>(flipped[k]))
+                << "code " << steps[k] << ", tier " << simd::tier_name(t);
+            EXPECT_EQ(static_cast<int>(code) & 0xFFF, words[k])
+                << "code " << steps[k] << ", tier " << simd::tier_name(t);
+        }
+    }
 }
 
 // ----------------------------------------------------- ComposedFault ----

@@ -1,13 +1,18 @@
 // Model zoo: forward/backward shape correctness for every architecture,
-// dropout-site bookkeeping, and trainability smoke checks.
+// backward_params against backward, dropout-site bookkeeping, and
+// trainability smoke checks.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
+#include "data/digits.hpp"
+#include "detect/detector.hpp"
 #include "models/zoo.hpp"
 #include "nn/loss.hpp"
+#include "nn/trainer.hpp"
 #include "tensor/ops.hpp"
 
 namespace bayesft::models {
@@ -118,9 +123,135 @@ std::vector<ZooCase> zoo_cases() {
     return cases;
 }
 
+/// Every parameter gradient of `a` equals `b`'s, bit for bit.
+void expect_same_grads(nn::Module& a, nn::Module& b, const std::string& tag) {
+    const auto pa = a.parameters();
+    const auto pb = b.parameters();
+    ASSERT_EQ(pa.size(), pb.size()) << tag;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        ASSERT_EQ(pa[i]->grad.size(), pb[i]->grad.size()) << tag;
+        EXPECT_EQ(std::memcmp(pa[i]->grad.data(), pb[i]->grad.data(),
+                              pa[i]->grad.size() * sizeof(float)),
+                  0)
+            << tag << ": parameter " << i << " (" << pa[i]->name << ")";
+    }
+}
+
+/// backward_params accumulates backward's parameter gradients bit for bit:
+/// a root Sequential skips its parameter-free prefix (an MLP's Flatten)
+/// and the first conv or Linear skips its input gradient.  The twins come
+/// from one seed with dropout 0.2 at every site, so both draw the same
+/// masks.
+TEST_P(ZooShapes, BackwardParamsMatchesBackwardBitwise) {
+    const ZooCase& zoo_case = GetParam();
+    Rng rng_full(7);
+    Rng rng_params(7);
+    ModelHandle full = zoo_case.make(rng_full);
+    ModelHandle params_only = zoo_case.make(rng_params);
+    const std::vector<double> rates(full.dropout_sites.size(), 0.2);
+    full.set_dropout_rates(rates);
+    params_only.set_dropout_rates(rates);
+
+    Rng data(8);
+    const Tensor input = Tensor::randn(zoo_case.input_shape, data, 0.5F);
+    std::vector<int> labels(zoo_case.input_shape[0]);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        labels[i] = static_cast<int>(i % zoo_case.outputs);
+    }
+    const nn::LossResult loss =
+        nn::cross_entropy(full.net->forward(input), labels);
+    params_only.net->forward(input);
+    full.net->backward(loss.grad);
+    params_only.net->backward_params(loss.grad);
+    expect_same_grads(*full.net, *params_only.net, zoo_case.name);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooShapes,
                          ::testing::ValuesIn(zoo_cases()),
                          [](const auto& info) { return info.param.name; });
+
+/// The detector's network under both entry points, as above.
+TEST(Detector, BackwardParamsMatchesBackwardBitwise) {
+    const detect::GridDetectorConfig config;
+    Rng rng_full(9);
+    Rng rng_params(9);
+    detect::GridDetector full(config, rng_full);
+    detect::GridDetector params_only(config, rng_params);
+    for (detect::GridDetector* d : {&full, &params_only}) {
+        for (nn::Dropout* site : d->dropout_sites()) site->set_rate(0.2);
+    }
+    Rng data(10);
+    const Tensor input =
+        Tensor::randn({2, 3, config.image_size, config.image_size}, data);
+    const Tensor out = full.network().forward(input);
+    params_only.network().forward(input);
+    const Tensor grad = Tensor::randn(out.shape(), data);
+    full.network().backward(grad);
+    params_only.network().backward_params(grad);
+    expect_same_grads(full.network(), params_only.network(), "detector");
+}
+
+/// Hides a model's backward_params overrides: a training loop calling it
+/// runs the Module default, the full backward with the input gradient
+/// dropped.
+class FullBackward : public nn::Module {
+public:
+    explicit FullBackward(nn::Module& inner) : inner_(inner) {}
+    Tensor forward(const Tensor& input) override {
+        return inner_.forward(input);
+    }
+    Tensor backward(const Tensor& grad_output) override {
+        return inner_.backward(grad_output);
+    }
+    void collect_parameters(std::vector<nn::Parameter*>& out) override {
+        inner_.collect_parameters(out);
+    }
+    void set_training(bool training) override {
+        training_ = training;
+        inner_.set_training(training);
+    }
+    std::string name() const override { return "FullBackward"; }
+
+private:
+    nn::Module& inner_;
+};
+
+/// A whole train_classifier run (LeNet, dropout 0.2, two epochs) ends on
+/// the same weights whether each step enters through backward_params or
+/// through the full backward.
+TEST(Training, BackwardParamsTrainsToTheSameWeights) {
+    data::DigitConfig digits;
+    digits.samples = 200;
+    Rng data_rng(11);
+    const data::Dataset train = data::synthetic_digits(digits, data_rng);
+    Rng rng_fast(12);
+    Rng rng_full(12);
+    ModelHandle fast = make_lenet5(1, 16, 10, rng_fast);
+    ModelHandle full = make_lenet5(1, 16, 10, rng_full);
+    const std::vector<double> rates(fast.dropout_sites.size(), 0.2);
+    fast.set_dropout_rates(rates);
+    full.set_dropout_rates(rates);
+
+    nn::TrainConfig config;
+    config.epochs = 2;
+    Rng order_fast(13);
+    Rng order_full(13);
+    nn::train_classifier(*fast.net, train.images, train.labels, config,
+                         order_fast);
+    FullBackward wrapped(*full.net);
+    nn::train_classifier(wrapped, train.images, train.labels, config,
+                         order_full);
+
+    const auto pf = fast.net->parameters();
+    const auto pw = full.net->parameters();
+    ASSERT_EQ(pf.size(), pw.size());
+    for (std::size_t i = 0; i < pf.size(); ++i) {
+        EXPECT_EQ(std::memcmp(pf[i]->value.data(), pw[i]->value.data(),
+                              pf[i]->value.size() * sizeof(float)),
+                  0)
+            << "parameter " << i << " (" << pf[i]->name << ")";
+    }
+}
 
 TEST(ModelHandle, SetDropoutRatesInstallsAndValidates) {
     Rng rng(1);

@@ -79,6 +79,12 @@ std::vector<LayerCase> layer_cases() {
     cases.push_back({"AvgPool2d",
                      [](Rng&) { return std::make_unique<AvgPool2d>(2); },
                      {2, 2, 4, 4}});
+    cases.push_back({"AvgPool2dOddInput",
+                     [](Rng&) { return std::make_unique<AvgPool2d>(2); },
+                     {2, 2, 5, 5}});
+    cases.push_back({"AvgPool2dOverlapping",
+                     [](Rng&) { return std::make_unique<AvgPool2d>(3, 1); },
+                     {2, 2, 5, 5}});
     cases.push_back({"GlobalAvgPool",
                      [](Rng&) { return std::make_unique<GlobalAvgPool>(); },
                      {2, 3, 4, 4}});
@@ -289,6 +295,67 @@ TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
     const Tensor grad = pool.backward(Tensor::ones({1, 1, 1, 1}));
     EXPECT_FLOAT_EQ(grad[0], 0.0F);
     EXPECT_FLOAT_EQ(grad[1], 1.0F);  // gradient flows only to the argmax
+}
+
+/// AvgPool2d against the naive window-by-window loops, bit for bit: the
+/// forward sums each window in double from +0, rows top to bottom, left
+/// to right; the backward sweeps windows in (oy, ox) order and adds each
+/// window's share to its elements from +0, so where windows overlap an
+/// element takes its additions in that order.  The gradient holds -0
+/// entries, whose +0 start is visible in the bits.
+TEST(AvgPool2d, MatchesNaiveWindowLoopsBitwise) {
+    struct Case {
+        std::size_t kernel, stride, h, w;
+    };
+    const Case cases[] = {{2, 2, 16, 16}, {2, 2, 5, 5},  {3, 1, 5, 5},
+                          {3, 2, 7, 6},   {2, 1, 4, 9},  {1, 1, 3, 3},
+                          {5, 3, 11, 8},  {3, 3, 3, 3}};
+    const auto same = [](const Tensor& a, const Tensor& b) {
+        return a.shape() == b.shape() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+    };
+    for (const Case& c : cases) {
+        Rng rng(70 + c.kernel * 10 + c.stride);
+        const std::size_t n = 3, ch = 2;
+        const std::size_t oh = (c.h - c.kernel) / c.stride + 1;
+        const std::size_t ow = (c.w - c.kernel) / c.stride + 1;
+        const Tensor x = Tensor::randn({n, ch, c.h, c.w}, rng);
+        Tensor grad = Tensor::randn({n, ch, oh, ow}, rng);
+        for (std::size_t i = 0; i < grad.size(); i += 3) {
+            grad[i] = -0.0F;
+        }
+        const float inv = 1.0F / static_cast<float>(c.kernel * c.kernel);
+
+        Tensor want_out({n, ch, oh, ow});
+        Tensor want_grad({n, ch, c.h, c.w});
+        for (std::size_t s = 0; s < n; ++s) {
+            for (std::size_t k = 0; k < ch; ++k) {
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        double acc = 0.0;
+                        const float g = grad(s, k, oy, ox) * inv;
+                        for (std::size_t ky = 0; ky < c.kernel; ++ky) {
+                            for (std::size_t kx = 0; kx < c.kernel; ++kx) {
+                                const std::size_t iy = oy * c.stride + ky;
+                                const std::size_t ix = ox * c.stride + kx;
+                                acc += x(s, k, iy, ix);
+                                want_grad(s, k, iy, ix) += g;
+                            }
+                        }
+                        want_out(s, k, oy, ox) = static_cast<float>(acc) * inv;
+                    }
+                }
+            }
+        }
+
+        AvgPool2d pool(c.kernel, c.stride);
+        const std::string tag = pool.name() + " on " +
+                                std::to_string(c.h) + "x" +
+                                std::to_string(c.w);
+        EXPECT_TRUE(same(pool.forward(x), want_out)) << tag << ": forward";
+        EXPECT_TRUE(same(pool.backward(grad), want_grad))
+            << tag << ": backward";
+    }
 }
 
 TEST(GlobalAvgPool, AveragesSpatially) {

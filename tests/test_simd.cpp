@@ -5,12 +5,15 @@
 // (forward and backward), the deterministic quantization kernels, and
 // GEMM against an independent per-element fma-chain reference across
 // odd/remainder shapes and strided sub-blocks, the f64 multi-RHS solve
-// against a multiply-then-subtract reference; plus the panel-split
+// against a multiply-then-subtract reference, the register-tile transpose
+// against a naive copy loop; plus the panel-split
 // invariance that makes the parallel GEMM driver thread-count independent,
 // and fault injection under 1 and 4 evaluation threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -107,6 +110,7 @@ TEST(SimdDispatch, EveryAvailableTierHasCompleteTable) {
         EXPECT_NE(kt->lognormal_mul, nullptr);
         EXPECT_NE(kt->gemm_f32, nullptr);
         EXPECT_NE(kt->qgemm_nt, nullptr);
+        EXPECT_NE(kt->transpose_f32, nullptr);
         EXPECT_NE(kt->solve_lower_multi_f64, nullptr);
         EXPECT_STREQ(kt->name, tier_name(t));
     }
@@ -497,6 +501,60 @@ TEST(SimdBitExact, SolveLowerMultiMatchesReferenceOnEveryTier) {
                     << "solve n=" << n << " m=" << m << " tier "
                     << tier_name(t);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------- transpose ----
+
+/// Every extent around each tier's tile width W (1, 4, 8, 16 on scalar,
+/// NEON, AVX2, AVX-512): empty, 1, 2, W-1, W, W+1 and 2W+1 rows and
+/// columns in every combination, so full, edge and corner tiles all run;
+/// plus the conv cols^T shapes (25 x 8192, 54 x 2048) and a Linear W^T
+/// (64 x 256).  src holds exactly m*n floats (an over-read is a sanitizer
+/// error) and carries -0 and a NaN payload, so only a bit-exact copy
+/// matches; sentinels past the end of dst must survive.
+TEST(SimdBitExact, TransposeMatchesNaiveOnEveryTier) {
+    std::vector<std::size_t> extents;
+    for (const std::size_t w : {1, 4, 8, 16}) {
+        for (const std::size_t e : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{2}, w - 1, w, w + 1,
+                                    2 * w + 1}) {
+            if (std::find(extents.begin(), extents.end(), e) ==
+                extents.end()) {
+                extents.push_back(e);
+            }
+        }
+    }
+    struct Shape {
+        std::size_t m, n;
+    };
+    std::vector<Shape> shapes = {{25, 8192}, {54, 2048}, {64, 256}};
+    for (const std::size_t m : extents) {
+        for (const std::size_t n : extents) shapes.push_back({m, n});
+    }
+    constexpr std::size_t kPad = 17;
+    constexpr float kSentinel = -12345.5F;
+    for (const Shape& s : shapes) {
+        std::vector<float> src = test_weights(s.m * s.n, 0x7A + s.m + s.n);
+        if (!src.empty()) {
+            src.front() = -0.0F;
+            src.back() = std::bit_cast<float>(std::uint32_t{0x7FC01234U});
+        }
+        std::vector<float> ref(s.m * s.n + kPad, kSentinel);
+        for (std::size_t i = 0; i < s.m; ++i) {
+            for (std::size_t j = 0; j < s.n; ++j) {
+                ref[j * s.m + i] = src[i * s.n + j];
+            }
+        }
+        for (const Tier t : available_tiers()) {
+            std::vector<float> dst(s.m * s.n + kPad, kSentinel);
+            kernels_for(t)->transpose_f32(src.data(), s.m, s.n, dst.data());
+            EXPECT_EQ(std::memcmp(ref.data(), dst.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << "transpose " << s.m << "x" << s.n << " tier "
+                << tier_name(t);
         }
     }
 }
