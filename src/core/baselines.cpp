@@ -45,21 +45,15 @@ void train_awp(models::ModelHandle& model, const data::Dataset& train_set,
     const auto params = net.parameters();
     nn::Sgd opt(params, config.train.learning_rate, config.train.momentum,
                 config.train.weight_decay);
-
-    const std::size_t n = train_set.images.dim(0);
-    const std::size_t batch = std::min(config.train.batch_size, n);
-    net.set_training(true);
-    for (std::size_t epoch = 0; epoch < config.train.epochs; ++epoch) {
-        const auto order = rng.permutation(n);
-        for (std::size_t lo = 0; lo < n; lo += batch) {
-            const std::size_t hi = std::min(lo + batch, n);
-            const nn::Batch b = nn::gather_batch(
-                train_set.images, train_set.labels, order, lo, hi);
-
+    nn::train_epochs(
+        net, opt, train_set.images, config.train.epochs,
+        config.train.batch_size, rng,
+        [&](const Tensor& batch, std::span<const std::size_t> rows) {
+            const std::vector<int> labels =
+                nn::gather_labels(train_set.labels, rows);
             // Inner maximization: one layer-normalized ascent step.
-            opt.zero_grad();
-            const Tensor logits = net.forward(b.images);
-            const nn::LossResult loss = nn::cross_entropy(logits, b.labels);
+            const nn::LossResult loss =
+                nn::cross_entropy(net.forward(batch), labels);
             net.backward_params(loss.grad);
 
             std::vector<Tensor> deltas;
@@ -82,18 +76,17 @@ void train_awp(models::ModelHandle& model, const data::Dataset& train_set,
 
             // Outer minimization: gradient at the perturbed point.
             opt.zero_grad();
-            const Tensor adv_logits = net.forward(b.images);
             const nn::LossResult adv_loss =
-                nn::cross_entropy(adv_logits, b.labels);
+                nn::cross_entropy(net.forward(batch), labels);
             net.backward_params(adv_loss.grad);
 
-            // Restore the clean weights, then step with adversarial grads.
+            // Restore the clean weights; the loop steps with the
+            // adversarial gradients.
             for (std::size_t i = 0; i < params.size(); ++i) {
                 params[i]->value.sub_(deltas[i]);
             }
-            opt.step();
-        }
-    }
+            return adv_loss.value;
+        });
 }
 
 FtnaClassifier::FtnaClassifier(models::ModelHandle model,
@@ -129,29 +122,22 @@ void FtnaClassifier::train(const data::Dataset& train_set,
         std::vector<double>(model_.dropout_sites.size(), 0.0));
     nn::Sgd opt(net.parameters(), config.learning_rate, config.momentum,
                 config.weight_decay);
-    const std::size_t n = train_set.images.dim(0);
-    const std::size_t batch = std::min(config.batch_size, n);
-    net.set_training(true);
-    for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-        const auto order = rng.permutation(n);
-        for (std::size_t lo = 0; lo < n; lo += batch) {
-            const std::size_t hi = std::min(lo + batch, n);
-            const nn::Batch b = nn::gather_batch(
-                train_set.images, train_set.labels, order, lo, hi);
-            Tensor targets({b.labels.size(), code_bits_});
-            for (std::size_t i = 0; i < b.labels.size(); ++i) {
-                const auto& code =
-                    codebook_[static_cast<std::size_t>(b.labels[i])];
-                std::copy(code.begin(), code.end(),
-                          targets.data() + i * code_bits_);
-            }
-            opt.zero_grad();
-            const Tensor logits = net.forward(b.images);
-            const nn::LossResult loss = nn::bce_with_logits(logits, targets);
-            net.backward_params(loss.grad);
-            opt.step();
-        }
+    // Every row's codeword target, gathered per batch like the images.
+    const std::size_t n = train_set.labels.size();
+    Tensor codes({n, code_bits_});
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto& code = codebook_.at(
+            static_cast<std::size_t>(train_set.labels[i]));
+        std::copy(code.begin(), code.end(), codes.data() + i * code_bits_);
     }
+    nn::train_epochs(
+        net, opt, train_set.images, config.epochs, config.batch_size, rng,
+        [&](const Tensor& batch, std::span<const std::size_t> rows) {
+            const nn::LossResult loss = nn::bce_with_logits(
+                net.forward(batch), nn::gather_rows(codes, rows));
+            net.backward_params(loss.grad);
+            return loss.value;
+        });
 }
 
 double FtnaClassifier::evaluate_accuracy(const Tensor& images,

@@ -1,5 +1,6 @@
 #include "core/persist.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 
 #include "core/engine.hpp"
+#include "core/runstore.hpp"
 #include "nn/dropout.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -23,33 +25,14 @@ namespace {
 
 constexpr const char* kMagic = "bayesft-checkpoint";
 
-std::uint64_t double_bits(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(double));
-    return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(double));
-    return value;
-}
-
-std::string hex64(std::uint64_t value) {
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
-
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
     throw std::runtime_error("checkpoint: " + what + " (" + path + ")");
 }
 
 void write_rng(std::ostream& out, const char* key, const RngState& state) {
     out << key;
-    for (std::uint64_t lane : state.lanes) out << ' ' << hex64(lane);
-    out << ' ' << hex64(state.cached_normal_bits) << ' '
+    for (std::uint64_t lane : state.lanes) out << ' ' << format_hex(lane);
+    out << ' ' << format_hex(state.cached_normal_bits) << ' '
         << (state.has_cached_normal ? 1 : 0) << '\n';
 }
 
@@ -60,11 +43,11 @@ void write_points(std::ostream& out, const char* key,
     out << key << ' ' << rows.size() << ' ' << dims << '\n';
     for (std::size_t r = 0; r < rows.size(); ++r) {
         for (std::size_t d = 0; d < rows[r].size(); ++d) {
-            out << (d == 0 ? "" : " ") << hex64(double_bits(rows[r][d]));
+            out << (d == 0 ? "" : " ") << format_bits(rows[r][d]);
         }
         if (values != nullptr) {
             out << (rows[r].empty() ? "" : " ")
-                << hex64(double_bits((*values)[r]));
+                << format_bits((*values)[r]);
         }
         out << '\n';
     }
@@ -124,26 +107,33 @@ public:
         return text.substr(start);
     }
 
+    /// A format_hex field: 1-16 hex digits and nothing else.
     std::uint64_t hex(const std::string& token) {
-        try {
-            std::size_t used = 0;
-            const std::uint64_t value = std::stoull(token, &used, 16);
-            if (used != token.size()) throw std::invalid_argument(token);
-            return value;
-        } catch (const std::exception&) {
+        std::uint64_t value = 0;
+        if (!parse_hex(token, value)) {
             fail("malformed hex field '" + token + "'", path_);
         }
+        return value;
     }
 
+    /// A format_bits field: a double's bit pattern in hex digits.
+    double bits(const std::string& token) {
+        double value = 0.0;
+        if (!parse_bits(token, value)) {
+            fail("malformed hex field '" + token + "'", path_);
+        }
+        return value;
+    }
+
+    /// A decimal field: digits only (no sign, no blanks), in range.
     std::uint64_t number(const std::string& token) {
-        try {
-            std::size_t used = 0;
-            const std::uint64_t value = std::stoull(token, &used, 10);
-            if (used != token.size()) throw std::invalid_argument(token);
-            return value;
-        } catch (const std::exception&) {
+        std::uint64_t value = 0;
+        const char* end = token.data() + token.size();
+        const auto [stop, error] = std::from_chars(token.data(), end, value);
+        if (error != std::errc() || stop != end) {
             fail("malformed numeric field '" + token + "'", path_);
         }
+        return value;
     }
 
     RngState rng(const char* key) {
@@ -173,11 +163,11 @@ public:
             std::string token;
             for (std::uint64_t d = 0; d < dims; ++d) {
                 if (!(tokens >> token)) fail("truncated point row", path_);
-                rows[r][d] = bits_double(hex(token));
+                rows[r][d] = bits(token);
             }
             if (values != nullptr) {
                 if (!(tokens >> token)) fail("truncated point row", path_);
-                (*values)[r] = bits_double(hex(token));
+                (*values)[r] = bits(token);
             }
         }
     }
@@ -206,17 +196,17 @@ void save_checkpoint(const SearchCheckpoint& checkpoint,
         out << kMagic << ' ' << SearchCheckpoint::kVersion << '\n';
         out << "run_id " << checkpoint.run_id << '\n';
         out << "build " << checkpoint.build << '\n';
-        out << "space_digest " << hex64(checkpoint.space_digest) << '\n';
-        out << "scenario_digest " << hex64(checkpoint.scenario_digest)
+        out << "space_digest " << format_hex(checkpoint.space_digest) << '\n';
+        out << "scenario_digest " << format_hex(checkpoint.scenario_digest)
             << '\n';
-        out << "context_key " << hex64(checkpoint.context_key) << '\n';
+        out << "context_key " << format_hex(checkpoint.context_key) << '\n';
         out << "context_stamp " << checkpoint.context_stamp << '\n';
         out << "trials_done " << checkpoint.trials_done << '\n';
         write_rng(out, "run_rng", checkpoint.run_rng);
         write_rng(out, "bo_rng", checkpoint.bo.rng);
         out << "initial_used " << checkpoint.bo.initial_used << '\n';
         out << "trust_region "
-            << hex64(double_bits(checkpoint.bo.trust_region.length)) << ' '
+            << format_bits(checkpoint.bo.trust_region.length) << ' '
             << checkpoint.bo.trust_region.successes << ' '
             << checkpoint.bo.trust_region.failures << ' '
             << checkpoint.bo.trust_region.restarts << '\n';
@@ -250,7 +240,7 @@ void save_checkpoint(const SearchCheckpoint& checkpoint,
             write_points(out, "cache", xs, &ys);
         }
         out << "model " << checkpoint.model_bits.size() << ' '
-            << hex64(checkpoint.model_digest) << '\n';
+            << format_hex(checkpoint.model_digest) << '\n';
         for (std::size_t i = 0; i < checkpoint.model_bits.size(); ++i) {
             char buffer[9];
             std::snprintf(buffer, sizeof(buffer), "%08x",
@@ -308,7 +298,7 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
     checkpoint.bo.initial_used = reader.number(reader.value("initial_used"));
     if (version >= 3) {
         const std::vector<std::string> tr = reader.record("trust_region", 4);
-        checkpoint.bo.trust_region.length = bits_double(reader.hex(tr[1]));
+        checkpoint.bo.trust_region.length = reader.bits(tr[1]);
         checkpoint.bo.trust_region.successes = reader.number(tr[2]);
         checkpoint.bo.trust_region.failures = reader.number(tr[3]);
         checkpoint.bo.trust_region.restarts = reader.number(tr[4]);
@@ -428,10 +418,12 @@ std::uint64_t mix_train_config(std::uint64_t key,
                                const nn::TrainConfig& train) {
     key = mix_key(key, static_cast<std::uint64_t>(train.epochs));
     key = mix_key(key, static_cast<std::uint64_t>(train.batch_size));
+    // 1.0 and 0 stand where the retired lr_decay and use_adam knobs were
+    // folded, so every scenario digest (and checkpoint) keeps its value.
     const double reals[] = {train.learning_rate, train.momentum,
-                            train.weight_decay, train.lr_decay};
+                            train.weight_decay, 1.0};
     key = mix_key(key, reals, 4);
-    return mix_key(key, static_cast<std::uint64_t>(train.use_adam ? 1 : 0));
+    return mix_key(key, std::uint64_t{0});
 }
 
 std::uint64_t mix_bo_config(std::uint64_t key,

@@ -8,6 +8,7 @@
 #include "nn/conv.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/trainer.hpp"
 
 namespace bayesft::detect {
 
@@ -94,53 +95,21 @@ double GridDetector::train_with(
     nn::Module& net, const Tensor& images,
     const std::vector<std::vector<Box>>& boxes_per_image,
     const DetectorTrainConfig& train_config, Rng& rng) const {
-    const std::size_t n = images.dim(0);
-    if (n != boxes_per_image.size() || n == 0) {
+    if (images.dim(0) != boxes_per_image.size()) {
         throw std::invalid_argument("GridDetector::train: size mismatch");
     }
     const Targets targets = encode_targets(boxes_per_image);
     nn::Adam opt(net.parameters(), train_config.learning_rate);
-    const std::size_t batch = std::min(train_config.batch_size, n);
-    const std::size_t row = images.size() / n;
-    const std::size_t target_row = targets.values.size() / n;
-
-    net.set_training(true);
-    double final_loss = 0.0;
-    for (std::size_t epoch = 0; epoch < train_config.epochs; ++epoch) {
-        const auto order = rng.permutation(n);
-        double loss_sum = 0.0;
-        std::size_t batches = 0;
-        for (std::size_t lo = 0; lo < n; lo += batch) {
-            const std::size_t hi = std::min(lo + batch, n);
-            const std::size_t bs = hi - lo;
-            std::vector<std::size_t> shape = images.shape();
-            shape[0] = bs;
-            Tensor batch_images(shape);
-            Tensor batch_targets({bs, 5, config_.grid, config_.grid});
-            Tensor batch_weights({bs, 5, config_.grid, config_.grid});
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::size_t src = order[i];
-                std::copy_n(images.data() + src * row, row,
-                            batch_images.data() + (i - lo) * row);
-                std::copy_n(targets.values.data() + src * target_row,
-                            target_row,
-                            batch_targets.data() + (i - lo) * target_row);
-                std::copy_n(targets.weights.data() + src * target_row,
-                            target_row,
-                            batch_weights.data() + (i - lo) * target_row);
-            }
-            opt.zero_grad();
-            const Tensor pred = net.forward(batch_images);
+    return nn::train_epochs(
+        net, opt, images, train_config.epochs, train_config.batch_size, rng,
+        [&](const Tensor& batch, std::span<const std::size_t> rows) {
             const nn::LossResult loss =
-                nn::mse(pred, batch_targets, batch_weights);
+                nn::mse(net.forward(batch),
+                        nn::gather_rows(targets.values, rows),
+                        nn::gather_rows(targets.weights, rows));
             net.backward_params(loss.grad);
-            opt.step();
-            loss_sum += loss.value;
-            ++batches;
-        }
-        final_loss = loss_sum / static_cast<double>(batches);
-    }
-    return final_loss;
+            return loss.value;
+        });
 }
 
 std::vector<std::vector<Detection>> GridDetector::detect(

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "simd/kernels.hpp"
-#include "tensor/gemm.hpp"
 #include "utils/parallel.hpp"
 
 namespace bayesft::linalg {
@@ -52,9 +51,15 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
     if (a.cols() != b.rows()) {
         throw std::invalid_argument("Matrix multiply: dimension mismatch");
     }
+    // i-k-j order: each element starts from +0 and adds its products in
+    // ascending k.
     Matrix c(a.rows(), b.cols());
-    detail::gemm_parallel(a.data(), a.cols(), b.data(), b.cols(), c.data(),
-                          c.cols(), a.rows(), a.cols(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
+        }
+    }
     return c;
 }
 

@@ -33,11 +33,6 @@ Sgd::Sgd(std::vector<Parameter*> params, double learning_rate, double momentum,
     }
 }
 
-void Sgd::set_learning_rate(double lr) {
-    if (lr <= 0.0) throw std::invalid_argument("Sgd: bad learning rate");
-    learning_rate_ = lr;
-}
-
 void Sgd::step() {
     for (std::size_t i = 0; i < params_.size(); ++i) {
         Parameter& p = *params_[i];
@@ -71,11 +66,6 @@ Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
         m_.push_back(Tensor::zeros(p->value.shape()));
         v_.push_back(Tensor::zeros(p->value.shape()));
     }
-}
-
-void Adam::set_learning_rate(double lr) {
-    if (lr <= 0.0) throw std::invalid_argument("Adam: bad learning rate");
-    learning_rate_ = lr;
 }
 
 void Adam::step() {

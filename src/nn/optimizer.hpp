@@ -37,9 +37,6 @@ public:
 
     void step() override;
 
-    double learning_rate() const { return learning_rate_; }
-    void set_learning_rate(double lr);
-
 private:
     double learning_rate_;
     double momentum_;
@@ -55,9 +52,6 @@ public:
          double weight_decay = 0.0);
 
     void step() override;
-
-    double learning_rate() const { return learning_rate_; }
-    void set_learning_rate(double lr);
 
 private:
     double learning_rate_;

@@ -1,7 +1,7 @@
 #include "nn/trainer.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include "nn/loss.hpp"
@@ -9,106 +9,106 @@
 
 namespace bayesft::nn {
 
+Tensor gather_rows(const Tensor& source,
+                   std::span<const std::size_t> indices) {
+    const std::size_t n = source.dim(0);
+    const std::size_t row = n == 0 ? 0 : source.size() / n;
+    std::vector<std::size_t> shape = source.shape();
+    shape[0] = indices.size();
+    Tensor out(shape);
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+        if (indices[i] >= n) {
+            throw std::out_of_range("gather_rows: row index out of range");
+        }
+        std::copy_n(source.data() + indices[i] * row, row,
+                    out.data() + i * row);
+    }
+    return out;
+}
+
+std::vector<int> gather_labels(const std::vector<int>& labels,
+                               std::span<const std::size_t> indices) {
+    std::vector<int> out;
+    out.reserve(indices.size());
+    for (std::size_t row : indices) out.push_back(labels.at(row));
+    return out;
+}
+
 Batch gather_batch(const Tensor& images, const std::vector<int>& labels,
                    const std::vector<std::size_t>& order, std::size_t lo,
                    std::size_t hi) {
     if (lo >= hi || hi > order.size()) {
         throw std::invalid_argument("gather_batch: bad range");
     }
-    const std::size_t row = images.size() / images.dim(0);
-    std::vector<std::size_t> shape = images.shape();
-    shape[0] = hi - lo;
-    Batch batch{Tensor(shape), {}};
-    batch.labels.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t src = order[i];
-        std::copy_n(images.data() + src * row, row,
-                    batch.images.data() + (i - lo) * row);
-        batch.labels.push_back(labels[src]);
-    }
-    return batch;
+    const std::span<const std::size_t> rows(order.data() + lo, hi - lo);
+    return {gather_rows(images, rows), gather_labels(labels, rows)};
 }
 
-std::vector<EpochStats> train_classifier(
-    Module& model, const Tensor& images, const std::vector<int>& labels,
-    const TrainConfig& config, Rng& rng,
-    const std::function<void(std::size_t, const EpochStats&)>& on_epoch) {
-    if (images.dim(0) != labels.size()) {
-        throw std::invalid_argument("train_classifier: size mismatch");
+double train_epochs(Module& model, Optimizer& optimizer, const Tensor& inputs,
+                    std::size_t epochs, std::size_t batch_size, Rng& rng,
+                    const TrainStep& step) {
+    const std::size_t n = inputs.dim(0);
+    if (n == 0) throw std::invalid_argument("train_epochs: empty dataset");
+    if (batch_size == 0) {
+        throw std::invalid_argument("train_epochs: batch_size must be > 0");
     }
-    if (images.dim(0) == 0) {
-        throw std::invalid_argument("train_classifier: empty dataset");
-    }
-    const std::size_t n = images.dim(0);
-    const std::size_t batch = std::min(config.batch_size, n);
-
-    std::unique_ptr<Optimizer> opt;
-    if (config.use_adam) {
-        opt = std::make_unique<Adam>(model.parameters(), config.learning_rate,
-                                     0.9, 0.999, 1e-8, config.weight_decay);
-    } else {
-        opt = std::make_unique<Sgd>(model.parameters(), config.learning_rate,
-                                    config.momentum, config.weight_decay);
-    }
-
-    std::vector<EpochStats> history;
-    history.reserve(config.epochs);
-    double lr = config.learning_rate;
+    const std::size_t batch = std::min(batch_size, n);
     model.set_training(true);
-    for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    double mean_loss = 0.0;
+    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
         const std::vector<std::size_t> order = rng.permutation(n);
         double loss_sum = 0.0;
-        std::size_t hit = 0;
         std::size_t batches = 0;
         for (std::size_t lo = 0, hi = 0; lo < n; lo = hi) {
             hi = std::min(lo + batch, n);
-            // A trailing single sample joins this batch: one row gives
+            // A trailing single row joins this run: one row gives
             // BatchNorm no training statistics.
             if (batch > 1 && n - hi == 1) hi = n;
-            Batch b = gather_batch(images, labels, order, lo, hi);
-            opt->zero_grad();
-            const Tensor logits = model.forward(b.images);
-            const LossResult loss = cross_entropy(logits, b.labels);
-            model.backward_params(loss.grad);
-            opt->step();
-            loss_sum += loss.value;
+            const std::span<const std::size_t> rows(order.data() + lo,
+                                                    hi - lo);
+            optimizer.zero_grad();
+            loss_sum += step(gather_rows(inputs, rows), rows);
+            optimizer.step();
             ++batches;
-            const auto preds = argmax_rows(logits);
-            for (std::size_t i = 0; i < b.labels.size(); ++i) {
-                if (preds[i] == static_cast<std::size_t>(b.labels[i])) ++hit;
-            }
         }
-        EpochStats stats;
-        stats.mean_loss = loss_sum / static_cast<double>(batches);
-        stats.train_accuracy =
-            static_cast<double>(hit) / static_cast<double>(n);
-        history.push_back(stats);
-        if (on_epoch) on_epoch(epoch, stats);
-        if (config.lr_decay != 1.0) {
-            lr *= config.lr_decay;
-            if (auto* sgd = dynamic_cast<Sgd*>(opt.get())) {
-                sgd->set_learning_rate(lr);
-            } else if (auto* adam = dynamic_cast<Adam*>(opt.get())) {
-                adam->set_learning_rate(lr);
-            }
-        }
+        mean_loss = loss_sum / static_cast<double>(batches);
     }
-    return history;
+    return mean_loss;
+}
+
+double train_classifier(Module& model, const Tensor& images,
+                        const std::vector<int>& labels,
+                        const TrainConfig& config, Rng& rng) {
+    if (images.dim(0) != labels.size()) {
+        throw std::invalid_argument("train_classifier: size mismatch");
+    }
+    Sgd optimizer(model.parameters(), config.learning_rate, config.momentum,
+                  config.weight_decay);
+    return train_epochs(
+        model, optimizer, images, config.epochs, config.batch_size, rng,
+        [&](const Tensor& batch, std::span<const std::size_t> rows) {
+            const LossResult loss = cross_entropy(model.forward(batch),
+                                                  gather_labels(labels, rows));
+            model.backward_params(loss.grad);
+            return loss.value;
+        });
 }
 
 Tensor predict_logits(Module& model, const Tensor& images,
                       std::size_t batch_size) {
+    if (batch_size == 0) {
+        throw std::invalid_argument("predict_logits: batch_size must be > 0");
+    }
     const std::size_t n = images.dim(0);
     const bool was_training = model.training();
     model.set_training(false);
     Tensor logits;
     std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    std::vector<int> dummy_labels(n, 0);
+    std::iota(order.begin(), order.end(), std::size_t{0});
     for (std::size_t lo = 0; lo < n; lo += batch_size) {
         const std::size_t hi = std::min(lo + batch_size, n);
-        Batch b = gather_batch(images, dummy_labels, order, lo, hi);
-        const Tensor out = model.forward(b.images);
+        const Tensor out = model.forward(gather_rows(
+            images, std::span<const std::size_t>(order.data() + lo, hi - lo)));
         if (logits.empty()) {
             logits = Tensor({n, out.dim(1)});
         }

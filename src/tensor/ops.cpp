@@ -27,7 +27,7 @@ void transpose_into(const float* src, std::size_t m, std::size_t n,
 
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n) {
-    detail::gemm_parallel(a, k, b, n, c, n, m, k, n);
+    detail::gemm_parallel_f32(a, k, b, n, c, n, m, k, n, true);
 }
 
 void gemm_overwrite(const float* a, const float* b, float* c, std::size_t m,

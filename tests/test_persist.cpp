@@ -283,6 +283,45 @@ TEST(CheckpointFileTest, LoadRejectsMissingCorruptAndForeignVersions) {
     fs::remove(path);
 }
 
+TEST(CheckpointFileTest, LoadRejectsPrefixedAndSignedFields) {
+    // Hex fields take the run store's format_hex digits and nothing else,
+    // decimal fields digits only.  A "0x" prefix or a sign rejects the
+    // file, naming it, instead of loading a wrapped value: a model word
+    // -0000001 would load as 0xFFFFFFFF, a NaN weight.
+    const std::string path = temp_path("lax.ckpt");
+    save_checkpoint(sample_checkpoint(), path);
+    const std::string good = read_file(path);
+    // Where the first token after "<key> " (or on the line below) starts.
+    const auto after = [&](const std::string& key) {
+        return good.find("\n" + key + " ") + key.size() + 2;
+    };
+    const auto line_below = [&](const std::string& key) {
+        return good.find('\n', after(key)) + 1;
+    };
+    const std::pair<std::size_t, std::string> mutants[] = {
+        {after("context_key"), "0x0000000000004d"},
+        {line_below("model"), "-0000001"},
+        {after("context_stamp"), "-1"},
+        {after("space_digest"), "+ff"},
+        {line_below("trials"), "+ff"},
+    };
+    for (const auto& [start, token] : mutants) {
+        const std::size_t end = good.find_first_of(" \n", start);
+        write_file(path, good.substr(0, start) + token + good.substr(end));
+        try {
+            load_checkpoint(path);
+            ADD_FAILURE() << "accepted '" << token << "' at byte " << start;
+        } catch (const std::runtime_error& error) {
+            const std::string what = error.what();
+            EXPECT_EQ(what.rfind("checkpoint: ", 0), 0U) << what;
+            EXPECT_NE(what.find("'" + token + "'"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+        }
+    }
+    fs::remove(path);
+}
+
 TEST(CheckpointFileTest, ValidateRejectsForeignScenario) {
     const SearchCheckpoint cp = sample_checkpoint();
     EXPECT_NO_THROW(validate_checkpoint(cp, cp.space_digest,
