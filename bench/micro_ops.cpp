@@ -1,10 +1,10 @@
 // Micro-benchmarks of the numeric substrates: the dispatched float GEMM
 // (including a comparison against the seed's scalar i-k-j kernel, and the
-// conv forward/dW/dx shape classes LeNet-5 training issues), the transposes
-// and AvgPool2d passes around those GEMMs, batched conv
-// forward/backward, GP fit and pooled acquisition (including one-thread
-// records at the arch search's shape and the multi-RHS solve alone),
-// per-fault-model injection throughput across
+// conv forward/dW/dx shape classes LeNet-5 training runs), the transposes,
+// conv unfolds (im2col, col2im) and AvgPool2d passes around those GEMMs,
+// batched conv forward/backward, GP fit and pooled acquisition (including
+// one-thread records at the arch search's shape and the multi-RHS solve
+// alone), per-fault-model injection throughput across
 // the FaultModel zoo, multi-threaded Monte-Carlo drift evaluation scaling,
 // candidate-engine search throughput, and GP proposal cost over typed
 // mixed search spaces (suggest_throughput_vs_dims).
@@ -248,11 +248,55 @@ void bench_conv_gemm() {
 
 /// The data movement around LeNet-5's training GEMMs at batch 32: the
 /// transposes (conv cols^T at 25 x 8192 and 54 x 2048, the first Linear's
-/// W^T at 64 x 256) and both AvgPool2d layers, forward and backward.
-/// Bytes count each element read once and written once.
+/// W^T at 64 x 256), the conv unfold and fold (im2col, col2im) at both
+/// LeNet layers and the detector's first layer, and both AvgPool2d layers,
+/// forward and backward.  Bytes count each element read once and written
+/// once (col2im reads and writes the image gradient).
 void bench_data_movement() {
     Rng rng(5);
     volatile float sink = 0.0F;
+    constexpr std::size_t kBatch = 32;
+    // {channels, in_h, in_w, kernel_h, kernel_w, stride, pad}: LeNet's
+    // conv1 and conv2, the detector's first conv.
+    for (const ConvGeometry& g : {ConvGeometry{1, 16, 16, 5, 5, 1, 2},
+                                  ConvGeometry{6, 8, 8, 3, 3, 1, 1},
+                                  ConvGeometry{3, 32, 32, 3, 3, 1, 1}}) {
+        const std::size_t image = g.channels * g.in_h * g.in_w;
+        const std::size_t positions = g.out_h() * g.out_w();
+        const std::size_t patch = g.channels * g.kernel_h * g.kernel_w;
+        const std::size_t gp = kBatch * positions;
+        // Each sample owns its column slice of one [patch, batch *
+        // positions] slab, as in Conv2d.
+        const Tensor images = Tensor::randn({kBatch, image}, rng);
+        Tensor cols = Tensor::randn({patch, gp}, rng);
+        Tensor grads({kBatch, image});
+        const std::string label =
+            std::to_string(kBatch) + "x" + std::to_string(g.channels) + "x" +
+            std::to_string(g.in_h) + "x" + std::to_string(g.in_w) + "_k" +
+            std::to_string(g.kernel_h) + "p" + std::to_string(g.pad);
+        if (want("im2col")) {
+            const double ns = time_ns([&] {
+                for (std::size_t s = 0; s < kBatch; ++s) {
+                    im2col(images.data() + s * image, g,
+                           cols.data() + s * positions, gp);
+                }
+                sink = sink + cols[0];
+            });
+            report("im2col", label, 1, ns, 0.0,
+                   4.0 * static_cast<double>(kBatch * image + patch * gp));
+        }
+        if (want("col2im")) {
+            const double ns = time_ns([&] {
+                for (std::size_t s = 0; s < kBatch; ++s) {
+                    col2im(cols.data() + s * positions, g,
+                           grads.data() + s * image, gp);
+                }
+                sink = sink + grads[0];
+            });
+            report("col2im", label, 1, ns, 0.0,
+                   4.0 * static_cast<double>(patch * gp + 2 * kBatch * image));
+        }
+    }
     if (want("transpose")) {
         struct Shape {
             std::size_t m, n;

@@ -6,20 +6,29 @@
 namespace bayesft::nn {
 
 Tensor Activation::forward(const Tensor& input) {
-    cached_input_ = input;
-    Tensor out = input;
-    simd::kernels().act_fwd(kind(), out.data(), out.data(), out.size(),
+    // Only a training-mode forward is followed by a backward.
+    if (training_) {
+        cached_input_ = input;
+    } else {
+        cached_input_ = Tensor();
+    }
+    Tensor out(input.shape());
+    simd::kernels().act_fwd(kind(), input.data(), out.data(), out.size(),
                             param());
     return out;
 }
 
 Tensor Activation::backward(const Tensor& grad_output) {
+    if (cached_input_.rank() == 0) {
+        throw std::logic_error(
+            "Activation::backward: no training-mode forward to differentiate");
+    }
     if (grad_output.shape() != cached_input_.shape()) {
         throw std::invalid_argument("Activation::backward: shape mismatch");
     }
-    Tensor grad = grad_output;
-    simd::kernels().act_bwd(kind(), cached_input_.data(), grad.data(),
-                            grad.size(), param());
+    Tensor grad(grad_output.shape());
+    simd::kernels().act_bwd(kind(), cached_input_.data(), grad_output.data(),
+                            grad.data(), grad.size(), param());
     return grad;
 }
 

@@ -8,10 +8,13 @@
 
 namespace bayesft::nn {
 
-/// Common base: caches the forward input for the backward pass.  The
-/// elementwise loops run through the runtime-dispatched SIMD kernels
-/// (simd::kernels().act_fwd / act_bwd); a subclass only names its kernel
-/// via kind() and supplies the scalar parameter via param().
+/// Common base: a training-mode forward caches its input for the backward
+/// pass; an eval-mode forward keeps nothing, and a backward after it
+/// throws std::logic_error.  The elementwise loops run through the
+/// runtime-dispatched SIMD kernels (simd::kernels().act_fwd / act_bwd),
+/// each writing its result in one pass from its inputs; a subclass only
+/// names its kernel via kind() and supplies the scalar parameter via
+/// param().
 class Activation : public Module {
 public:
     Tensor forward(const Tensor& input) final;

@@ -58,22 +58,86 @@ void add_row_sums(const float* g, std::size_t len, std::size_t rows,
     }
 }
 
+/// An AvgPool2d window: its extents are template arguments when nonzero
+/// (the 2x2, stride-2 window every zoo model pools with runs through loops
+/// with compile-time bounds) and run-time values otherwise.
+template <std::size_t K = 0, std::size_t S = 0>
+struct PoolWindow {
+    std::size_t kernel_rt = K;
+    std::size_t stride_rt = S;
+    std::size_t kernel() const { return K != 0 ? K : kernel_rt; }
+    std::size_t stride() const { return S != 0 ? S : stride_rt; }
+};
+
 /// Averages N adjacent pooling windows (the first at `win`, the next
 /// `stride` floats on) into out[0..N).  The N sums run side by side, so
 /// their dependency chains overlap, but each keeps its own order: from +0,
 /// rows top to bottom, left to right within a row.
-template <std::size_t N>
-void average_windows(const float* win, std::size_t w, std::size_t kernel,
-                     std::size_t stride, float inv, float* out) {
+template <std::size_t N, class Window>
+void average_windows(const float* win, std::size_t w, Window pw, float inv,
+                     float* out) {
     double acc[N] = {};
-    for (std::size_t ky = 0; ky < kernel; ++ky) {
+    for (std::size_t ky = 0; ky < pw.kernel(); ++ky) {
         const float* row = win + ky * w;
-        for (std::size_t kx = 0; kx < kernel; ++kx) {
-            for (std::size_t i = 0; i < N; ++i) acc[i] += row[i * stride + kx];
+        for (std::size_t kx = 0; kx < pw.kernel(); ++kx) {
+            for (std::size_t i = 0; i < N; ++i) {
+                acc[i] += row[i * pw.stride() + kx];
+            }
         }
     }
     for (std::size_t i = 0; i < N; ++i) {
         out[i] = static_cast<float>(acc[i]) * inv;
+    }
+}
+
+/// AvgPool2d forward over `planes` [h, w] planes into [oh, ow] planes.
+template <class Window>
+void avg_pool_forward(const float* in, std::size_t planes, std::size_t h,
+                      std::size_t w, std::size_t oh, std::size_t ow,
+                      Window pw, float inv, float* out) {
+    for (std::size_t p = 0; p < planes; ++p) {
+        const float* plane = in + p * h * w;
+        float* oplane = out + p * oh * ow;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            const float* win = plane + oy * pw.stride() * w;
+            float* orow = oplane + oy * ow;
+            std::size_t ox = 0;
+            for (; ox + 4 <= ow; ox += 4) {
+                average_windows<4>(win + ox * pw.stride(), w, pw, inv,
+                                   orow + ox);
+            }
+            for (; ox < ow; ++ox) {
+                average_windows<1>(win + ox * pw.stride(), w, pw, inv,
+                                   orow + ox);
+            }
+        }
+    }
+}
+
+/// AvgPool2d backward: adds each window's share of its output gradient to
+/// the zero-filled input gradient.  Each input element takes its additions
+/// in window (oy, ox) order, starting from +0: oy is the outer loop, and
+/// within one output row an element lies in one window row ky and takes
+/// the windows ox ascending.
+template <class Window>
+void avg_pool_backward(const float* gout, std::size_t planes, std::size_t h,
+                       std::size_t w, std::size_t oh, std::size_t ow,
+                       Window pw, float inv, float* grad) {
+    for (std::size_t p = 0; p < planes; ++p) {
+        float* plane = grad + p * h * w;
+        const float* gplane = gout + p * oh * ow;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ky = 0; ky < pw.kernel(); ++ky) {
+                float* row = plane + (oy * pw.stride() + ky) * w;
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    const float g = gplane[oy * ow + ox] * inv;
+                    float* win = row + ox * pw.stride();
+                    for (std::size_t kx = 0; kx < pw.kernel(); ++kx) {
+                        win[kx] += g;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -474,22 +538,12 @@ Tensor AvgPool2d::forward(const Tensor& input) {
     input_shape_ = input.shape();
     Tensor output({n, c, oh, ow});
     const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
-    for (std::size_t p = 0; p < n * c; ++p) {
-        const float* plane = input.data() + p * h * w;
-        float* out = output.data() + p * oh * ow;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-            const float* win = plane + oy * stride_ * w;
-            float* orow = out + oy * ow;
-            std::size_t ox = 0;
-            for (; ox + 4 <= ow; ox += 4) {
-                average_windows<4>(win + ox * stride_, w, kernel_, stride_,
-                                   inv, orow + ox);
-            }
-            for (; ox < ow; ++ox) {
-                average_windows<1>(win + ox * stride_, w, kernel_, stride_,
-                                   inv, orow + ox);
-            }
-        }
+    if (kernel_ == 2 && stride_ == 2) {
+        avg_pool_forward(input.data(), n * c, h, w, oh, ow, PoolWindow<2, 2>{},
+                         inv, output.data());
+    } else {
+        avg_pool_forward(input.data(), n * c, h, w, oh, ow,
+                         PoolWindow<>{kernel_, stride_}, inv, output.data());
     }
     return output;
 }
@@ -506,24 +560,13 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
     }
     Tensor grad_input(input_shape_);
     const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
-    // Each input element takes its additions in window (oy, ox) order,
-    // starting from +0: oy is the outer loop, and within one output row an
-    // element lies in one window row ky and takes the windows ox ascending.
-    for (std::size_t p = 0; p < n * c; ++p) {
-        float* plane = grad_input.data() + p * h * w;
-        const float* gout = grad_output.data() + p * oh * ow;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-            for (std::size_t ky = 0; ky < kernel_; ++ky) {
-                float* row = plane + (oy * stride_ + ky) * w;
-                for (std::size_t ox = 0; ox < ow; ++ox) {
-                    const float g = gout[oy * ow + ox] * inv;
-                    float* win = row + ox * stride_;
-                    for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                        win[kx] += g;
-                    }
-                }
-            }
-        }
+    if (kernel_ == 2 && stride_ == 2) {
+        avg_pool_backward(grad_output.data(), n * c, h, w, oh, ow,
+                          PoolWindow<2, 2>{}, inv, grad_input.data());
+    } else {
+        avg_pool_backward(grad_output.data(), n * c, h, w, oh, ow,
+                          PoolWindow<>{kernel_, stride_}, inv,
+                          grad_input.data());
     }
     return grad_input;
 }

@@ -32,8 +32,12 @@ std::size_t Module::parameter_count() {
 }
 
 Tensor Sequential::forward(const Tensor& input) {
-    Tensor current = input;
-    for (auto& child : children_) current = child->forward(current);
+    if (children_.empty()) return input;
+    // The first child reads the caller's input, so no batch is copied.
+    Tensor current = children_.front()->forward(input);
+    for (std::size_t i = 1; i < children_.size(); ++i) {
+        current = children_[i]->forward(current);
+    }
     return current;
 }
 

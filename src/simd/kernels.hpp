@@ -20,7 +20,9 @@
 // activation, GEMM edge-tile shapes (against an independent per-element
 // fma-chain reference), the f64 multi-RHS solve (against a
 // multiply-then-subtract reference), and the transpose (against a naive
-// copy loop, at every edge-tile extent).
+// copy loop, at every edge-tile extent); tests/test_ops.cpp pins the conv
+// unfold and its adjoint against per-element gather and scatter loops on
+// every tier.
 //
 // RNG stream layout: the fault kernels consume randomness through
 // kLanes = 16 deterministic logical lanes derived from the caller's Rng
@@ -45,6 +47,15 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
 /// (mirrors the nn:: activation classes; `param` carries the leaky slope
 /// or the ELU alpha, 0 otherwise).
 enum class Act { kRelu = 0, kLeakyRelu, kElu, kGelu, kSigmoid, kTanh };
+
+/// One image's conv unfold, as im2col_f32 / col2im_f32 take it: a
+/// [channels, in_h, in_w] image swept by a kernel_h x kernel_w window at
+/// `stride` with `pad` zeros on every side, at out_h x out_w positions
+/// (bayesft::ConvGeometry and its output extents; tensor/ops.cpp fills it).
+struct Unfold {
+    std::size_t channels, in_h, in_w, kernel_h, kernel_w, stride, pad;
+    std::size_t out_h, out_w;
+};
 
 /// Number of logical RNG lanes every fault kernel uses, on every tier.
 /// Fixed so the draw layout (and therefore every perturbation) is
@@ -93,9 +104,9 @@ struct KernelTable {
     /// y[i] = f(x[i]); in-place (y == x) allowed.
     void (*act_fwd)(Act kind, const float* x, float* y, std::size_t n,
                     float param);
-    /// g[i] *= f'(x[i]).
-    void (*act_bwd)(Act kind, const float* x, float* g, std::size_t n,
-                    float param);
+    /// out[i] = g[i] * f'(x[i]); in-place (out == g) allowed.
+    void (*act_bwd)(Act kind, const float* x, const float* g, float* out,
+                    std::size_t n, float param);
 
     // -- GEMM ------------------------------------------------------------
     /// C (+)= A · B on row-major blocks: A is m×k (leading dim lda), B is
@@ -122,6 +133,25 @@ struct KernelTable {
     /// and writes exactly the n×m block.  Bits are copied, never changed.
     void (*transpose_f32)(const float* src, std::size_t m, std::size_t n,
                           float* dst);
+    /// Conv unfold of one image into the rows (c, ky, kx) of `out`
+    /// (leading dim ld), each out_h*out_w wide: position (oy, ox) of a row
+    /// holds image[c][oy*stride + ky - pad][ox*stride + kx - pad], or +0
+    /// where that is padding.  Writes exactly those rows' out_h*out_w
+    /// floats and reads only the image.  Stride 1 moves each position row
+    /// W lanes at a time (one masked load from the shifted image row, one
+    /// store); other strides copy element by element.  Bits are copied,
+    /// never changed.
+    void (*im2col_f32)(const float* image, const Unfold& u, float* out,
+                       std::size_t ld);
+    /// Adjoint of im2col_f32: image[c][iy][ix] += cols[row][oy*out_w + ox]
+    /// for every position whose window reads (iy, ix).  Each image element
+    /// takes its additions in (ky, kx) order, one IEEE add each, as a
+    /// per-element scatter does; an element no position reads keeps its
+    /// bits.  Stride 1 holds each image row (c, ky, oy) in registers
+    /// across kx and stores it once; other strides scatter element by
+    /// element.
+    void (*col2im_f32)(const float* cols, const Unfold& u, float* image,
+                       std::size_t ld);
 
     // -- f64 triangular solve (GP acquisition) ---------------------------
     /// Solves L Y = B in place for the m right-hand sides stored as the

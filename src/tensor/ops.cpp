@@ -18,6 +18,11 @@ void require_rank2(const Tensor& t, const char* who) {
     }
 }
 
+simd::Unfold unfold_of(const ConvGeometry& g) {
+    return {g.channels, g.in_h,   g.in_w,    g.kernel_h, g.kernel_w,
+            g.stride,   g.pad,    g.out_h(), g.out_w()};
+}
+
 }  // namespace
 
 void transpose_into(const float* src, std::size_t m, std::size_t n,
@@ -107,7 +112,7 @@ void im2col(const float* image, const ConvGeometry& g, float* out) {
 
 void im2col(const float* image, const ConvGeometry& g, float* out,
             std::size_t out_stride) {
-    im2col_into(image, g, out, out_stride);
+    simd::kernels().im2col_f32(image, unfold_of(g), out, out_stride);
 }
 
 void col2im(const float* cols_mat, const ConvGeometry& g, float* image_grad) {
@@ -116,28 +121,8 @@ void col2im(const float* cols_mat, const ConvGeometry& g, float* image_grad) {
 
 void col2im(const float* cols_mat, const ConvGeometry& g, float* image_grad,
             std::size_t cols_stride) {
-    const std::size_t oh = g.out_h(), ow = g.out_w();
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < g.channels; ++c) {
-        float* plane = image_grad + c * g.in_h * g.in_w;
-        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-            const detail::ValidSpan ys =
-                detail::valid_span(g.in_h, oh, g.stride, ky, g.pad);
-            for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++row) {
-                const detail::ValidSpan xs =
-                    detail::valid_span(g.in_w, ow, g.stride, kx, g.pad);
-                const float* src = cols_mat + row * cols_stride;
-                for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
-                    float* irow =
-                        plane + (oy * g.stride + ky - g.pad) * g.in_w;
-                    const float* srow = src + oy * ow;
-                    for (std::size_t ox = xs.lo; ox < xs.hi; ++ox) {
-                        irow[ox * g.stride + kx - g.pad] += srow[ox];
-                    }
-                }
-            }
-        }
-    }
+    simd::kernels().col2im_f32(cols_mat, unfold_of(g), image_grad,
+                               cols_stride);
 }
 
 std::vector<std::size_t> argmax_rows(const Tensor& logits) {

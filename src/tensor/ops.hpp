@@ -92,7 +92,9 @@ void im2col(const float* image, const ConvGeometry& g, float* out);
 /// Strided variant: writes the unfolded image into a sub-block of a wider
 /// row-major matrix whose rows are `out_stride` floats apart.  This lets a
 /// whole batch share one [C*kh*kw, N*out_h*out_w] scratch matrix, with
-/// sample s occupying the column slice starting at s*out_h*out_w.
+/// sample s occupying the column slice starting at s*out_h*out_w.  Both
+/// overloads run the SIMD layer's kernel (simd::KernelTable::im2col_f32),
+/// which writes exactly the sample's columns of each row.
 void im2col(const float* image, const ConvGeometry& g, float* out,
             std::size_t out_stride);
 
@@ -122,10 +124,11 @@ inline ValidSpan valid_span(std::size_t extent, std::size_t out,
 
 }  // namespace detail
 
-/// Generic unfold behind both im2col overloads, templated on the element
-/// type so the fixed-point forward pass (nn/quant.hpp) can unfold int16
-/// quantized codes with the same geometry.  Each (channel, ky, kx) row
-/// computes its valid output spans once (detail::valid_span), so every
+/// Element-type-generic unfold with im2col's layout, kept for the
+/// fixed-point forward pass (nn/quant.hpp), which unfolds int16 quantized
+/// codes with it; float images go through im2col's SIMD kernel, as
+/// transpose_into_t stands beside transpose_into.  Each (channel, ky, kx)
+/// row computes its valid output spans once (detail::valid_span), so every
 /// output row is zero-fill / copy / zero-fill with no per-element bounds
 /// check; the copy is one memcpy when stride == 1.
 template <typename T>
@@ -166,10 +169,9 @@ void im2col_into(const T* image, const ConvGeometry& g, T* out,
 
 /// Adjoint of im2col: folds the column matrix back, accumulating into
 /// `image_grad` (which must be pre-zeroed by the caller when appropriate).
-/// Visits rows in (channel, ky, kx) order and, within a row, only the
-/// detail::valid_span positions in (oy, ox) order, so each image element
-/// receives its additions in the order of a per-element bounds-checked
-/// scatter.
+/// Runs the SIMD layer's kernel (simd::KernelTable::col2im_f32): each
+/// image element receives its additions in (ky, kx) order, the order of a
+/// per-element bounds-checked scatter, so the bits match that scatter's.
 void col2im(const float* cols, const ConvGeometry& g, float* image_grad);
 
 /// Strided variant matching the strided im2col layout.

@@ -19,6 +19,7 @@
 #include "nn/linear.hpp"
 #include "nn/trainer.hpp"
 #include "simd/kernels.hpp"
+#include "simd_tiers.hpp"
 
 namespace bayesft::fault {
 namespace {
@@ -290,15 +291,7 @@ TEST(QuantizationFault, AllZeroSpanStaysZero) {
 
 // ---------------------------------------------------- int12 boundaries ----
 
-/// Every SIMD tier this build and CPU can run.
-std::vector<simd::Tier> runnable_tiers() {
-    std::vector<simd::Tier> tiers;
-    for (const simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2,
-                               simd::Tier::kAvx512, simd::Tier::kNeon}) {
-        if (simd::tier_available(t)) tiers.push_back(t);
-    }
-    return tiers;
-}
+using bayesft::testing::runnable_tiers;
 
 /// The 12-bit grid step used below: a power of two, so every code times
 /// it, and every half step, is exact in float.  A span whose max|w| is

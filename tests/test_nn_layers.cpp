@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -302,14 +305,18 @@ TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
 /// to right; the backward sweeps windows in (oy, ox) order and adds each
 /// window's share to its elements from +0, so where windows overlap an
 /// element takes its additions in that order.  The gradient holds -0
-/// entries, whose +0 start is visible in the bits.
+/// entries, whose +0 start is visible in the bits.  The 2x2, stride-2
+/// window runs its own fixed-extent loops; at odd H or W its last input
+/// row or column lies in no window, and its gradient must stay +0.
 TEST(AvgPool2d, MatchesNaiveWindowLoopsBitwise) {
     struct Case {
         std::size_t kernel, stride, h, w;
     };
     const Case cases[] = {{2, 2, 16, 16}, {2, 2, 5, 5},  {3, 1, 5, 5},
                           {3, 2, 7, 6},   {2, 1, 4, 9},  {1, 1, 3, 3},
-                          {5, 3, 11, 8},  {3, 3, 3, 3}};
+                          {5, 3, 11, 8},  {3, 3, 3, 3},  {2, 2, 8, 8},
+                          {2, 2, 7, 9},   {2, 2, 9, 6},  {2, 2, 6, 11},
+                          {2, 2, 3, 2},   {2, 2, 2, 2}};
     const auto same = [](const Tensor& a, const Tensor& b) {
         return a.shape() == b.shape() &&
                std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
@@ -353,8 +360,18 @@ TEST(AvgPool2d, MatchesNaiveWindowLoopsBitwise) {
                                 std::to_string(c.h) + "x" +
                                 std::to_string(c.w);
         EXPECT_TRUE(same(pool.forward(x), want_out)) << tag << ": forward";
-        EXPECT_TRUE(same(pool.backward(grad), want_grad))
-            << tag << ": backward";
+        const Tensor got_grad = pool.backward(grad);
+        EXPECT_TRUE(same(got_grad, want_grad)) << tag << ": backward";
+        // Rows and columns past the last window take no gradient: +0.
+        const std::size_t covered_h = (oh - 1) * c.stride + c.kernel;
+        const std::size_t covered_w = (ow - 1) * c.stride + c.kernel;
+        for (std::size_t i = 0; i < got_grad.size(); ++i) {
+            const std::size_t iy = (i / c.w) % c.h, ix = i % c.w;
+            if (iy >= covered_h || ix >= covered_w) {
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(got_grad[i]), 0U)
+                    << tag << ": uncovered element " << i;
+            }
+        }
     }
 }
 
@@ -438,6 +455,12 @@ TEST(Sequential, ForwardComposesChildren) {
     EXPECT_EQ(out.shape(), (std::vector<std::size_t>{5, 2}));
 }
 
+TEST(Sequential, EmptyForwardReturnsItsInput) {
+    Sequential seq;
+    const Tensor input({2, 3}, std::vector<float>{1, -2, 3, -4, 5, -6});
+    EXPECT_TRUE(seq.forward(input).equals(input));
+}
+
 TEST(Sequential, CollectsAllParameters) {
     Rng rng(8);
     Sequential seq;
@@ -478,6 +501,27 @@ TEST(Activations, FactoryKnowsAllNames) {
         EXPECT_NE(make_activation(name), nullptr) << name;
     }
     EXPECT_THROW(make_activation("swishh"), std::invalid_argument);
+}
+
+/// An eval-mode forward keeps no input for a backward: a backward after it
+/// throws instead of differentiating a stale or empty cache, and the next
+/// training-mode forward caches again.  Both modes write the same output.
+TEST(Activations, EvalForwardCachesNothingAndBackwardThrows) {
+    Rng rng(12);
+    const Tensor x = Tensor::randn({4, 7}, rng);
+    const Tensor g = Tensor::randn({4, 7}, rng);
+    for (const char* kind : {"relu", "gelu", "tanh"}) {
+        const std::unique_ptr<Module> act = make_activation(kind);
+        EXPECT_THROW(act->backward(g), std::logic_error) << kind;
+        const Tensor train_out = act->forward(x);
+        const Tensor train_grad = act->backward(g);
+        act->set_training(false);
+        EXPECT_TRUE(act->forward(x).equals(train_out)) << kind;
+        EXPECT_THROW(act->backward(g), std::logic_error) << kind;
+        act->set_training(true);
+        act->forward(x);
+        EXPECT_TRUE(act->backward(g).equals(train_grad)) << kind;
+    }
 }
 
 TEST(Activations, GeluKnownValues) {

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "simd/kernels.hpp"
+#include "simd_tiers.hpp"
 #include "tensor/ops.hpp"
 #include "utils/rng.hpp"
 
@@ -185,9 +190,21 @@ void naive_col2im(const float* cols, const ConvGeometry& g, float* image,
     }
 }
 
+/// im2col and col2im against the naive loops, bit for bit, on every SIMD
+/// tier this build and CPU can run (the kernels live in simd/).  Besides
+/// odd kernels, strides and paddings, the geometries put W - 1, W, W + 1
+/// and 2W + 1 positions in a row for each tier's vector width W (1, 4, 8,
+/// 16), and include the detector's first layer (3 x 32 x 32, k3 p1), a
+/// 1 x 1 stride-2 shortcut conv, and a kernel wider than the 16 kx one
+/// col2im sweep takes.  The unfold's rows sit `positions + 3`
+/// floats apart, as in Conv2d's batch slab, and sentinels fill the gaps
+/// and the floats past the block: a kernel writes only its positions.  The
+/// image carries -0 and a NaN payload, and so does the col2im target, whose
+/// elements no position reaches (and the sentinels past it) must keep
+/// their bits.
 TEST(Ops, Im2ColAndCol2ImMatchNaiveLoopsBitwise) {
     // {channels, in_h, in_w, kernel_h, kernel_w, stride, pad}
-    const ConvGeometry geometries[] = {
+    std::vector<ConvGeometry> geometries = {
         {2, 7, 7, 3, 3, 1, 0},   {2, 7, 7, 3, 3, 1, 1},
         {2, 7, 7, 3, 3, 1, 2},   {1, 8, 6, 3, 3, 2, 0},
         {1, 8, 6, 3, 3, 2, 1},   {3, 9, 9, 5, 5, 2, 2},
@@ -196,40 +213,70 @@ TEST(Ops, Im2ColAndCol2ImMatchNaiveLoopsBitwise) {
         {1, 3, 4, 7, 8, 1, 2},   {1, 3, 3, 5, 5, 2, 1},
         {1, 1, 1, 5, 5, 1, 2},   {1, 9, 1, 5, 5, 1, 2},
         {2, 9, 2, 3, 5, 2, 2},   {1, 16, 16, 5, 5, 1, 2},
-        {6, 8, 8, 3, 3, 1, 1}};
+        {6, 8, 8, 3, 3, 1, 1},   {3, 32, 32, 3, 3, 1, 1},
+        {4, 8, 8, 1, 1, 2, 0},   {3, 7, 7, 1, 1, 2, 0},
+        {1, 3, 20, 3, 19, 1, 2}};
+    for (const std::size_t w : {1, 4, 8, 16}) {
+        for (const std::size_t ow : {w - 1, w, w + 1, 2 * w + 1}) {
+            if (ow == 0) continue;
+            geometries.push_back({2, 4, ow, 3, 3, 1, 1});      // pad < k
+            geometries.push_back({1, 6, ow + 4, 5, 5, 1, 0});  // no padding
+            geometries.push_back({1, 2, ow, 5, 5, 1, 2});      // pad 2
+        }
+    }
+    constexpr std::size_t kPad = 19;
+    constexpr float kSentinel = -12345.5F;
+    const float nan_payload = std::bit_cast<float>(std::uint32_t{0x7FC01234U});
+    const std::vector<simd::Tier> tiers = bayesft::testing::runnable_tiers();
     Rng rng(11);
     for (const ConvGeometry& g : geometries) {
         g.validate();
         const std::size_t rows = g.channels * g.kernel_h * g.kernel_w;
         const std::size_t positions = g.out_h() * g.out_w();
-        // A column stride wider than one sample, as in Conv2d's batch slab.
         const std::size_t stride = positions + 3;
-        const Tensor image = Tensor::randn({g.channels, g.in_h, g.in_w}, rng);
-        const Tensor cols = Tensor::randn({rows, stride}, rng);
-        const Tensor base = Tensor::randn({g.channels, g.in_h, g.in_w}, rng);
+        const std::size_t image_size = g.channels * g.in_h * g.in_w;
+        std::vector<float> image(image_size);
+        std::vector<float> cols(rows * stride);
+        std::vector<float> base(image_size + kPad, kSentinel);
+        for (float& v : image) v = static_cast<float>(rng.normal());
+        for (float& v : cols) v = static_cast<float>(rng.normal());
+        for (std::size_t i = 0; i < image_size; ++i) {
+            base[i] = static_cast<float>(rng.normal());
+        }
+        for (std::size_t i = 0; i < image_size; i += 5) {
+            image[i] = -0.0F;
+            base[i] = -0.0F;
+        }
+        for (std::size_t i = 0; i < cols.size(); i += 7) cols[i] = -0.0F;
+        image.back() = nan_payload;
+        base[image_size / 2] = nan_payload;
+        base[image_size - 1] = nan_payload;
         const std::string what =
             "c" + std::to_string(g.channels) + " " + std::to_string(g.in_h) +
             "x" + std::to_string(g.in_w) + " k" + std::to_string(g.kernel_h) +
             "x" + std::to_string(g.kernel_w) + " s" +
             std::to_string(g.stride) + " p" + std::to_string(g.pad);
 
-        Tensor unfolded = Tensor::full({rows, stride}, 7.0F);
-        Tensor expected_cols = unfolded;
-        im2col(image.data(), g, unfolded.data(), stride);
+        std::vector<float> expected_cols(rows * stride + kPad, kSentinel);
         naive_im2col(image.data(), g, expected_cols.data(), stride);
-        EXPECT_EQ(std::memcmp(unfolded.data(), expected_cols.data(),
-                              unfolded.size() * sizeof(float)),
-                  0)
-            << "im2col " << what;
-
-        Tensor folded = base;
-        Tensor expected_image = base;
-        col2im(cols.data(), g, folded.data(), stride);
+        std::vector<float> expected_image = base;
         naive_col2im(cols.data(), g, expected_image.data(), stride);
-        EXPECT_EQ(std::memcmp(folded.data(), expected_image.data(),
-                              folded.size() * sizeof(float)),
-                  0)
-            << "col2im " << what;
+        for (const simd::Tier t : tiers) {
+            simd::TierOverride tier(t);
+            std::vector<float> unfolded(rows * stride + kPad, kSentinel);
+            im2col(image.data(), g, unfolded.data(), stride);
+            EXPECT_EQ(std::memcmp(unfolded.data(), expected_cols.data(),
+                                  unfolded.size() * sizeof(float)),
+                      0)
+                << "im2col " << what << " tier " << simd::tier_name(t);
+
+            std::vector<float> folded = base;
+            col2im(cols.data(), g, folded.data(), stride);
+            EXPECT_EQ(std::memcmp(folded.data(), expected_image.data(),
+                                  folded.size() * sizeof(float)),
+                      0)
+                << "col2im " << what << " tier " << simd::tier_name(t);
+        }
     }
 }
 

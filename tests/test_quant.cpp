@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -23,6 +25,7 @@
 #include "nn/module.hpp"
 #include "nn/quant.hpp"
 #include "simd/kernels.hpp"
+#include "simd_tiers.hpp"
 #include "tensor/tensor.hpp"
 #include "utils/rng.hpp"
 
@@ -96,49 +99,110 @@ TEST(QuantView, DequantizedCodesMatchQuantizationFaultBitExactly) {
 
 // -------------------------------------------------------- Linear path ----
 
-TEST(QuantLinear, FixedPointForwardMatchesIntegerReference) {
-    Rng rng(21);
-    Linear layer(7, 5, rng);
-    Rng data_rng(22);
-    const Tensor input = Tensor::randn({3, 7}, data_rng);
+using bayesft::testing::runnable_tiers;
 
-    for (const InferenceMode mode :
-         {InferenceMode::kInt8, InferenceMode::kInt12}) {
-        const int bits = inference_bits(mode);
-        const std::vector<float> w(
-            layer.weight().value.data(),
-            layer.weight().value.data() + layer.weight().value.size());
-        const std::vector<float> x(input.data(),
-                                   input.data() + input.size());
-
-        float s_w = 0.0F, s_x = 0.0F;
-        const auto wc = codes_of(w, bits, &s_w);
-        const auto xc = codes_of(x, bits, &s_x);
-        const float scale = s_w * s_x;
-
-        // Reference mirrors the layer exactly: one float rounding per
-        // output from the int64 dot product, then the bias add.
-        std::vector<float> ref(3 * 5);
-        for (std::size_t i = 0; i < 3; ++i) {
-            for (std::size_t j = 0; j < 5; ++j) {
-                std::int64_t acc = 0;
-                for (std::size_t kk = 0; kk < 7; ++kk) {
-                    acc += static_cast<std::int64_t>(xc[i * 7 + kk]) *
-                           static_cast<std::int64_t>(wc[j * 7 + kk]);
-                }
-                float v = static_cast<float>(acc) * scale;
-                v += layer.bias().value.data()[j];
-                ref[i * 5 + j] = v;
-            }
-        }
-
-        layer.set_inference_mode(mode);
-        const Tensor out = layer.forward(input);
-        ASSERT_EQ(out.size(), ref.size());
-        const std::vector<float> got(out.data(), out.data() + out.size());
-        EXPECT_TRUE(bits_equal(ref, got)) << inference_mode_name(mode);
+/// Writes int12 boundary values into v, on the grid of step `step` (a power
+/// of two, so max|v| = 2047 * step makes the scale exactly `step`):
+/// +-max at v[at[0]] and v[at[1]], which quantize to +-2047, and ties at
+/// +-(k + 0.5) steps at the other positions of `at`, which round away from
+/// zero to +-(k + 1).  Returns the codes those positions must get.
+std::vector<std::int16_t> place_int12_boundaries(
+    std::vector<float>& v, const std::vector<std::size_t>& at, float step) {
+    const float ties[] = {0.5F, 1.5F, 2046.5F, 1023.5F, 7.5F, 100.5F};
+    std::vector<std::int16_t> want;
+    for (std::size_t i = 0; i < at.size(); ++i) {
+        const float sign = i % 2 == 0 ? 1.0F : -1.0F;
+        const float steps = i < 2 ? 2047.0F : ties[(i - 2) % 6];
+        v[at[i]] = sign * steps * step;
+        const float code = i < 2 ? 2047.0F : steps + 0.5F;
+        want.push_back(static_cast<std::int16_t>(sign * code));
     }
-    layer.set_inference_mode(InferenceMode::kFloat32);
+    return want;
+}
+
+/// The fixed-point Linear forward against an integer reference on its
+/// codes, on every tier: random data at int8 and int12, and int12 boundary
+/// data (+-max codes, ties at +-(k + 0.5) steps) whose codes are pinned.
+TEST(QuantLinear, FixedPointForwardMatchesIntegerReference) {
+    const std::size_t kIn = 7, kOut = 5, kRows = 3;
+    Rng rng(21);
+    Linear layer(kIn, kOut, rng);
+    Rng data_rng(22);
+    const Tensor random_input = Tensor::randn({kRows, kIn}, data_rng);
+    const std::vector<float> random_w(
+        layer.weight().value.data(),
+        layer.weight().value.data() + layer.weight().value.size());
+
+    // Boundary data: weights on a 2^-10 grid, inputs on a 2^-6 grid.
+    std::vector<float> edge_w(kOut * kIn), edge_x(kRows * kIn);
+    for (float& v : edge_w) v = static_cast<float>(rng.uniform(-1.9, 1.9));
+    for (float& v : edge_x) v = static_cast<float>(rng.uniform(-31.0, 31.0));
+    const std::vector<std::size_t> w_at = {0, kOut * kIn - 1, 3, 9, 12, 20,
+                                           26, 33};
+    const std::vector<std::size_t> x_at = {kIn - 1, kIn, 0, 2, 8, 13, 15,
+                                           20};
+    const auto w_want = place_int12_boundaries(edge_w, w_at, 0x1p-10F);
+    const auto x_want = place_int12_boundaries(edge_x, x_at, 0x1p-6F);
+
+    struct Case {
+        InferenceMode mode;
+        const std::vector<float>* w;
+        std::vector<float> x;
+        bool boundary;
+    };
+    const std::vector<float> random_x(random_input.data(),
+                                      random_input.data() +
+                                          random_input.size());
+    const Case cases[] = {{InferenceMode::kInt8, &random_w, random_x, false},
+                          {InferenceMode::kInt12, &random_w, random_x, false},
+                          {InferenceMode::kInt12, &edge_w, edge_x, true}};
+    for (const simd::Tier tier : runnable_tiers()) {
+        simd::TierOverride override_tier(tier);
+        for (const Case& c : cases) {
+            const int bits = inference_bits(c.mode);
+            const std::string what = std::string(inference_mode_name(c.mode)) +
+                                     (c.boundary ? " boundary" : " random") +
+                                     " tier " + simd::tier_name(tier);
+            float s_w = 0.0F, s_x = 0.0F;
+            const auto wc = codes_of(*c.w, bits, &s_w);
+            const auto xc = codes_of(c.x, bits, &s_x);
+            if (c.boundary) {
+                EXPECT_EQ(s_w, 0x1p-10F) << what;
+                EXPECT_EQ(s_x, 0x1p-6F) << what;
+                for (std::size_t i = 0; i < w_at.size(); ++i) {
+                    EXPECT_EQ(wc[w_at[i]], w_want[i]) << what << " w " << i;
+                }
+                for (std::size_t i = 0; i < x_at.size(); ++i) {
+                    EXPECT_EQ(xc[x_at[i]], x_want[i]) << what << " x " << i;
+                }
+            }
+            const float scale = s_w * s_x;
+
+            // Reference mirrors the layer exactly: one float rounding per
+            // output from the int64 dot product, then the bias add.
+            std::vector<float> ref(kRows * kOut);
+            for (std::size_t i = 0; i < kRows; ++i) {
+                for (std::size_t j = 0; j < kOut; ++j) {
+                    std::int64_t acc = 0;
+                    for (std::size_t kk = 0; kk < kIn; ++kk) {
+                        acc += static_cast<std::int64_t>(xc[i * kIn + kk]) *
+                               static_cast<std::int64_t>(wc[j * kIn + kk]);
+                    }
+                    float v = static_cast<float>(acc) * scale;
+                    v += layer.bias().value.data()[j];
+                    ref[i * kOut + j] = v;
+                }
+            }
+
+            std::copy(c.w->begin(), c.w->end(), layer.weight().value.data());
+            layer.set_inference_mode(c.mode);
+            const Tensor out = layer.forward(Tensor({kRows, kIn}, c.x));
+            layer.set_inference_mode(InferenceMode::kFloat32);
+            ASSERT_EQ(out.size(), ref.size());
+            const std::vector<float> got(out.data(), out.data() + out.size());
+            EXPECT_TRUE(bits_equal(ref, got)) << what;
+        }
+    }
 }
 
 TEST(QuantLinear, Int12TracksFloatCloserThanInt8) {
@@ -185,63 +249,117 @@ TEST(QuantLinear, AllZeroWeightsFallBackToBias) {
 
 // -------------------------------------------------------- Conv2d path ----
 
+/// The fixed-point Conv2d forward (a pad-1 conv, unfolded through
+/// im2col_into<std::int16_t>) against a direct convolution over the
+/// integer codes, on every tier: random data at int8 and int12, and int12
+/// boundary data whose +-2047 and tie codes sit in the image's corners and
+/// edges, next to the padding zeros.
 TEST(QuantConv, FixedPointForwardMatchesIntegerReference) {
     Rng rng(51);
     const std::size_t C = 2, OC = 3, K = 3, H = 5, W = 5, N = 2;
     Conv2d conv(C, OC, K, /*stride=*/1, /*pad=*/1, rng);
     Rng data_rng(52);
-    const Tensor input = Tensor::randn({N, C, H, W}, data_rng);
-
-    const int bits = 8;
-    const std::vector<float> w(
+    const Tensor random_input = Tensor::randn({N, C, H, W}, data_rng);
+    const std::vector<float> random_w(
         conv.weight().value.data(),
         conv.weight().value.data() + conv.weight().value.size());
-    const std::vector<float> x(input.data(), input.data() + input.size());
-    float s_w = 0.0F, s_x = 0.0F;
-    const auto wc = codes_of(w, bits, &s_w);
-    const auto xc = codes_of(x, bits, &s_x);
-    const float scale = s_w * s_x;
+    const std::vector<float> random_x(
+        random_input.data(), random_input.data() + random_input.size());
 
-    // Direct convolution over the integer codes (padding reads code 0).
-    std::vector<float> ref(N * OC * H * W);
-    for (std::size_t s = 0; s < N; ++s) {
-        for (std::size_t oc = 0; oc < OC; ++oc) {
-            for (std::size_t oy = 0; oy < H; ++oy) {
-                for (std::size_t ox = 0; ox < W; ++ox) {
-                    std::int64_t acc = 0;
-                    for (std::size_t c = 0; c < C; ++c) {
-                        for (std::size_t ky = 0; ky < K; ++ky) {
-                            for (std::size_t kx = 0; kx < K; ++kx) {
-                                const std::ptrdiff_t iy =
-                                    std::ptrdiff_t(oy + ky) - 1;
-                                const std::ptrdiff_t ix =
-                                    std::ptrdiff_t(ox + kx) - 1;
-                                if (iy < 0 || iy >= std::ptrdiff_t(H) ||
-                                    ix < 0 || ix >= std::ptrdiff_t(W)) {
-                                    continue;
-                                }
-                                const std::size_t xi =
-                                    ((s * C + c) * H + iy) * W + ix;
-                                const std::size_t wi =
-                                    ((oc * C + c) * K + ky) * K + kx;
-                                acc += std::int64_t(xc[xi]) *
-                                       std::int64_t(wc[wi]);
-                            }
-                        }
-                    }
-                    float v = static_cast<float>(acc) * scale;
-                    v += conv.bias().value.data()[oc];
-                    ref[((s * OC + oc) * H + oy) * W + ox] = v;
+    std::vector<float> edge_w(OC * C * K * K), edge_x(N * C * H * W);
+    for (float& v : edge_w) v = static_cast<float>(rng.uniform(-1.9, 1.9));
+    for (float& v : edge_x) v = static_cast<float>(rng.uniform(-31.0, 31.0));
+    // Weights: +-max at the first and last taps, ties at corner taps.
+    const std::vector<std::size_t> w_at = {0, edge_w.size() - 1, 2, 6, 8,
+                                           18, 24, 35};
+    // Inputs: +-max at a corner of each sample, ties along the borders.
+    const auto xi = [&](std::size_t s, std::size_t c, std::size_t y,
+                        std::size_t x) {
+        return ((s * C + c) * H + y) * W + x;
+    };
+    const std::vector<std::size_t> x_at = {
+        xi(0, 0, 0, 0),     xi(1, 1, H - 1, W - 1), xi(0, 1, 0, W - 1),
+        xi(1, 0, H - 1, 0), xi(0, 0, 2, 0),         xi(0, 1, 4, 2),
+        xi(1, 1, 0, 3),     xi(1, 0, 3, W - 1)};
+    const auto w_want = place_int12_boundaries(edge_w, w_at, 0x1p-10F);
+    const auto x_want = place_int12_boundaries(edge_x, x_at, 0x1p-6F);
+
+    struct Case {
+        InferenceMode mode;
+        const std::vector<float>* w;
+        const std::vector<float>* x;
+        bool boundary;
+    };
+    const Case cases[] = {{InferenceMode::kInt8, &random_w, &random_x, false},
+                          {InferenceMode::kInt12, &random_w, &random_x, false},
+                          {InferenceMode::kInt12, &edge_w, &edge_x, true}};
+    for (const simd::Tier tier : runnable_tiers()) {
+        simd::TierOverride override_tier(tier);
+        for (const Case& c : cases) {
+            const int bits = inference_bits(c.mode);
+            const std::string what = std::string(inference_mode_name(c.mode)) +
+                                     (c.boundary ? " boundary" : " random") +
+                                     " tier " + simd::tier_name(tier);
+            float s_w = 0.0F, s_x = 0.0F;
+            const auto wc = codes_of(*c.w, bits, &s_w);
+            const auto xc = codes_of(*c.x, bits, &s_x);
+            if (c.boundary) {
+                EXPECT_EQ(s_w, 0x1p-10F) << what;
+                EXPECT_EQ(s_x, 0x1p-6F) << what;
+                for (std::size_t i = 0; i < w_at.size(); ++i) {
+                    EXPECT_EQ(wc[w_at[i]], w_want[i]) << what << " w " << i;
+                }
+                for (std::size_t i = 0; i < x_at.size(); ++i) {
+                    EXPECT_EQ(xc[x_at[i]], x_want[i]) << what << " x " << i;
                 }
             }
+            const float scale = s_w * s_x;
+
+            // Direct convolution over the integer codes (padding reads
+            // code 0).
+            std::vector<float> ref(N * OC * H * W);
+            for (std::size_t s = 0; s < N; ++s) {
+                for (std::size_t oc = 0; oc < OC; ++oc) {
+                    for (std::size_t oy = 0; oy < H; ++oy) {
+                        for (std::size_t ox = 0; ox < W; ++ox) {
+                            std::int64_t acc = 0;
+                            for (std::size_t ch = 0; ch < C; ++ch) {
+                                for (std::size_t ky = 0; ky < K; ++ky) {
+                                    for (std::size_t kx = 0; kx < K; ++kx) {
+                                        const std::ptrdiff_t iy =
+                                            std::ptrdiff_t(oy + ky) - 1;
+                                        const std::ptrdiff_t ix =
+                                            std::ptrdiff_t(ox + kx) - 1;
+                                        if (iy < 0 || iy >= std::ptrdiff_t(H) ||
+                                            ix < 0 || ix >= std::ptrdiff_t(W)) {
+                                            continue;
+                                        }
+                                        const std::size_t wi =
+                                            ((oc * C + ch) * K + ky) * K + kx;
+                                        const std::size_t xj =
+                                            xi(s, ch, iy, ix);
+                                        acc += std::int64_t(xc[xj]) *
+                                               std::int64_t(wc[wi]);
+                                    }
+                                }
+                            }
+                            float v = static_cast<float>(acc) * scale;
+                            v += conv.bias().value.data()[oc];
+                            ref[((s * OC + oc) * H + oy) * W + ox] = v;
+                        }
+                    }
+                }
+            }
+
+            std::copy(c.w->begin(), c.w->end(), conv.weight().value.data());
+            conv.set_inference_mode(c.mode);
+            const Tensor out = conv.forward(Tensor({N, C, H, W}, *c.x));
+            conv.set_inference_mode(InferenceMode::kFloat32);
+            ASSERT_EQ(out.size(), ref.size());
+            const std::vector<float> got(out.data(), out.data() + out.size());
+            EXPECT_TRUE(bits_equal(ref, got)) << what;
         }
     }
-
-    conv.set_inference_mode(InferenceMode::kInt8);
-    const Tensor out = conv.forward(input);
-    ASSERT_EQ(out.size(), ref.size());
-    const std::vector<float> got(out.data(), out.data() + out.size());
-    EXPECT_TRUE(bits_equal(ref, got));
 }
 
 // --------------------------------------------------- mode plumbing ----

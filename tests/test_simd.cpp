@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/drift.hpp"
@@ -28,21 +29,14 @@
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
 #include "simd/kernels.hpp"
+#include "simd_tiers.hpp"
 #include "tensor/tensor.hpp"
 #include "utils/rng.hpp"
 
 namespace bayesft::simd {
 namespace {
 
-/// Every tier this build + CPU can actually execute (kScalar always).
-std::vector<Tier> available_tiers() {
-    std::vector<Tier> tiers;
-    for (const Tier t :
-         {Tier::kScalar, Tier::kAvx2, Tier::kAvx512, Tier::kNeon}) {
-        if (tier_available(t)) tiers.push_back(t);
-    }
-    return tiers;
-}
+using bayesft::testing::runnable_tiers;
 
 /// Deterministic weight-like data with sign changes, zeros, and a wide
 /// magnitude range (exercises saturation and sign paths).
@@ -104,13 +98,15 @@ TEST(SimdDispatch, TierOverrideSwitchesAndRestores) {
 }
 
 TEST(SimdDispatch, EveryAvailableTierHasCompleteTable) {
-    for (const Tier t : available_tiers()) {
+    for (const Tier t : runnable_tiers()) {
         const KernelTable* kt = kernels_for(t);
         ASSERT_NE(kt, nullptr) << tier_name(t);
         EXPECT_NE(kt->lognormal_mul, nullptr);
         EXPECT_NE(kt->gemm_f32, nullptr);
         EXPECT_NE(kt->qgemm_nt, nullptr);
         EXPECT_NE(kt->transpose_f32, nullptr);
+        EXPECT_NE(kt->im2col_f32, nullptr);
+        EXPECT_NE(kt->col2im_f32, nullptr);
         EXPECT_NE(kt->solve_lower_multi_f64, nullptr);
         EXPECT_STREQ(kt->name, tier_name(t));
     }
@@ -122,7 +118,7 @@ TEST(SimdDispatch, EveryAvailableTierHasCompleteTable) {
 /// perturbed weights AND an identical post-call Rng position on every
 /// tier (the draw-stream layout is part of the determinism contract).
 TEST(SimdBitExact, EveryFaultModelMatchesScalarOnEveryTier) {
-    const auto tiers = available_tiers();
+    const auto tiers = runnable_tiers();
     for (const auto& model : fault_zoo()) {
         for (const std::size_t n : kSpanSizes) {
             const std::vector<float> base = test_weights(n, 0xF00D + n);
@@ -167,7 +163,7 @@ TEST(SimdBitExact, EveryActivationMatchesScalarOnEveryTier) {
         {Act::kGelu, 0.0F},    {Act::kSigmoid, 0.0F},
         {Act::kTanh, 0.0F},
     };
-    const auto tiers = available_tiers();
+    const auto tiers = runnable_tiers();
     for (const Case& c : cases) {
         for (const std::size_t n : kSpanSizes) {
             // Inputs span both signs, zeros, and the saturating range.
@@ -175,35 +171,37 @@ TEST(SimdBitExact, EveryActivationMatchesScalarOnEveryTier) {
             for (std::size_t i = 0; i < n; ++i) x[i] *= 4.0F;
             const std::vector<float> g0 = test_weights(n, 0x9AD + n);
 
-            std::vector<float> fwd_ref(n), bwd_ref = g0;
+            std::vector<float> fwd_ref(n), bwd_ref(n);
             {
                 TierOverride scalar(Tier::kScalar);
                 kernels().act_fwd(c.kind, x.data(), fwd_ref.data(), n,
                                   c.param);
-                kernels().act_bwd(c.kind, x.data(), bwd_ref.data(), n,
-                                  c.param);
+                kernels().act_bwd(c.kind, x.data(), g0.data(), bwd_ref.data(),
+                                  n, c.param);
             }
+            // Every tier, with the destination apart from the source and
+            // in place (y == x forward, out == g backward).
             for (const Tier t : tiers) {
-                std::vector<float> fwd(n), bwd = g0;
                 const KernelTable* kt = kernels_for(t);
+                std::vector<float> fwd(n), bwd(n);
+                std::vector<float> fwd_inplace = x, bwd_inplace = g0;
                 kt->act_fwd(c.kind, x.data(), fwd.data(), n, c.param);
-                kt->act_bwd(c.kind, x.data(), bwd.data(), n, c.param);
-                EXPECT_TRUE(bits_equal(fwd_ref, fwd))
-                    << "act_fwd kind=" << static_cast<int>(c.kind)
-                    << " n=" << n << " tier " << tier_name(t);
-                EXPECT_TRUE(bits_equal(bwd_ref, bwd))
-                    << "act_bwd kind=" << static_cast<int>(c.kind)
-                    << " n=" << n << " tier " << tier_name(t);
+                kt->act_fwd(c.kind, fwd_inplace.data(), fwd_inplace.data(), n,
+                            c.param);
+                kt->act_bwd(c.kind, x.data(), g0.data(), bwd.data(), n,
+                            c.param);
+                kt->act_bwd(c.kind, x.data(), bwd_inplace.data(),
+                            bwd_inplace.data(), n, c.param);
+                const std::string what =
+                    "kind=" + std::to_string(static_cast<int>(c.kind)) +
+                    " n=" + std::to_string(n) + " tier " + tier_name(t);
+                EXPECT_TRUE(bits_equal(fwd_ref, fwd)) << "act_fwd " << what;
+                EXPECT_TRUE(bits_equal(fwd_ref, fwd_inplace))
+                    << "in-place act_fwd " << what;
+                EXPECT_TRUE(bits_equal(bwd_ref, bwd)) << "act_bwd " << what;
+                EXPECT_TRUE(bits_equal(bwd_ref, bwd_inplace))
+                    << "in-place act_bwd " << what;
             }
-
-            // In-place forward (y == x) must agree with out-of-place.
-            std::vector<float> inplace = x;
-            kernels().act_fwd(c.kind, inplace.data(), inplace.data(), n,
-                              c.param);
-            std::vector<float> outofplace(n);
-            kernels().act_fwd(c.kind, x.data(), outofplace.data(), n,
-                              c.param);
-            EXPECT_TRUE(bits_equal(inplace, outofplace));
         }
     }
 }
@@ -248,7 +246,7 @@ TEST(SimdBitExact, GemmMatchesFmaChainReferenceOnEveryTier) {
             shapes.push_back({m, 5, n});
         }
     }
-    const auto tiers = available_tiers();
+    const auto tiers = runnable_tiers();
     for (const Shape& s : shapes) {
         const std::vector<float> a = test_weights(s.m * s.k, 0xA + s.m);
         const std::vector<float> b = test_weights(s.k * s.n, 0xB + s.n);
@@ -307,7 +305,7 @@ TEST(SimdBitExact, GemmStridedBlockLeavesSentinelsUntouched) {
             std::vector<float> ref = c0;
             reference_gemm(a.data(), lda, b.data(), ldb, ref.data() + offset,
                            ldc, s.m, s.k, s.n, accumulate);
-            for (const Tier t : available_tiers()) {
+            for (const Tier t : runnable_tiers()) {
                 std::vector<float> c = c0;
                 kernels_for(t)->gemm_f32(a.data(), lda, b.data(), ldb,
                                          c.data() + offset, ldc, s.m, s.k,
@@ -333,7 +331,7 @@ TEST(SimdBitExact, GemmPanelSplitIsBitInvariant) {
     const std::vector<float> a = test_weights(m * k, 1);
     const std::vector<float> b = test_weights(k * n, 2);
 
-    for (const Tier t : available_tiers()) {
+    for (const Tier t : runnable_tiers()) {
         const KernelTable* kt = kernels_for(t);
         std::vector<float> whole(m * n);
         kt->gemm_f32(a.data(), k, b.data(), n, whole.data(), n, m, k, n,
@@ -364,7 +362,7 @@ TEST(SimdBitExact, GemmPanelSplitIsBitInvariant) {
 // ------------------------------------------------ quantization kernels ----
 
 TEST(SimdBitExact, QuantizeAndCodesAgreeAcrossTiers) {
-    const auto tiers = available_tiers();
+    const auto tiers = runnable_tiers();
     for (const int bits : {4, 8, 12}) {
         for (const std::size_t n : kSpanSizes) {
             const std::vector<float> base = test_weights(n, 0x0DD + n);
@@ -433,7 +431,7 @@ TEST(SimdBitExact, QgemmNtMatchesInt64ReferenceOnEveryTier) {
             ref[i * n + j] = static_cast<float>(acc) * scale;
         }
     }
-    for (const Tier t : available_tiers()) {
+    for (const Tier t : runnable_tiers()) {
         std::vector<float> c(m * n, -1.0F);  // must be overwritten
         kernels_for(t)->qgemm_nt(a.data(), b.data(), c.data(), m, k, n,
                                  scale);
@@ -491,7 +489,7 @@ TEST(SimdBitExact, SolveLowerMultiMatchesReferenceOnEveryTier) {
             }
             std::vector<double> ref = b0;
             reference_solve(l, n, ref.data(), ldb, m);
-            for (const Tier t : available_tiers()) {
+            for (const Tier t : runnable_tiers()) {
                 std::vector<double> b = b0;
                 kernels_for(t)->solve_lower_multi_f64(l.data(), n, b.data(),
                                                       ldb, n, m);
@@ -547,7 +545,7 @@ TEST(SimdBitExact, TransposeMatchesNaiveOnEveryTier) {
                 ref[j * s.m + i] = src[i * s.n + j];
             }
         }
-        for (const Tier t : available_tiers()) {
+        for (const Tier t : runnable_tiers()) {
             std::vector<float> dst(s.m * s.n + kPad, kSentinel);
             kernels_for(t)->transpose_f32(src.data(), s.m, s.n, dst.data());
             EXPECT_EQ(std::memcmp(ref.data(), dst.data(),
@@ -581,7 +579,7 @@ TEST(SimdBitExact, InjectionUnderOneAndFourThreadsEveryTier) {
     const fault::LogNormalDrift drift(0.5);
 
     std::vector<double> reference;
-    for (const Tier t : available_tiers()) {
+    for (const Tier t : runnable_tiers()) {
         TierOverride override_tier(t);
         for (const std::size_t threads : {1UL, 4UL}) {
             Rng eval_rng(123);
