@@ -208,7 +208,8 @@ void bench_gemm() {
 /// (models/zoo.cpp make_lenet5 on 16x16 digits: conv 1->6 k5 p2 and conv
 /// 6->16 k3 p1), timed through gemm_accumulate exactly as Conv2d calls it:
 ///   gemm_conv_fwd  W[OC, patch] @ cols[patch, 32*positions]
-///   gemm_conv_dw   G[OC, 32*positions] @ colsT[32*positions, patch]
+///   gemm_conv_dw   cols[patch, 32*positions] @ GT[32*positions, OC]
+///                  (dW^T, accumulated)
 ///   gemm_conv_dx   WT[patch, OC] @ G[OC, 32*positions]
 void bench_conv_gemm() {
     struct Layer {
@@ -225,8 +226,9 @@ void bench_conv_gemm() {
             const std::size_t cols = kBatch * l.positions;
             std::size_t m = l.out_c, k = l.patch, n = cols;
             if (op == "gemm_conv_dw") {
+                m = l.patch;
                 k = cols;
-                n = l.patch;
+                n = l.out_c;
             } else if (op == "gemm_conv_dx") {
                 m = l.patch;
                 k = l.out_c;
@@ -247,8 +249,9 @@ void bench_conv_gemm() {
 }
 
 /// The data movement around LeNet-5's training GEMMs at batch 32: the
-/// transposes (conv cols^T at 25 x 8192 and 54 x 2048, the first Linear's
-/// W^T at 64 x 256), the conv unfold and fold (im2col, col2im) at both
+/// transposes (one sample's conv output gradient at 6 x 256 and 16 x 64,
+/// 32 of each per step for dW's G^T slab, and the first Linear's W^T at
+/// 64 x 256), the conv unfold and fold (im2col, col2im) at both
 /// LeNet layers and the detector's first layer, and both AvgPool2d layers,
 /// forward and backward.  Bytes count each element read once and written
 /// once (col2im reads and writes the image gradient).
@@ -301,7 +304,7 @@ void bench_data_movement() {
         struct Shape {
             std::size_t m, n;
         };
-        for (const Shape s : {Shape{25, 8192}, Shape{54, 2048},
+        for (const Shape s : {Shape{6, 256}, Shape{16, 64},
                               Shape{64, 256}}) {
             const Tensor src = Tensor::randn({s.m, s.n}, rng);
             Tensor dst({s.n, s.m});

@@ -48,13 +48,14 @@ void train_awp(models::ModelHandle& model, const data::Dataset& train_set,
     nn::train_epochs(
         net, opt, train_set.images, config.train.epochs,
         config.train.batch_size, rng,
-        [&](const Tensor& batch, std::span<const std::size_t> rows) {
+        [&](Tensor batch, std::span<const std::size_t> rows) {
             const std::vector<int> labels =
                 nn::gather_labels(train_set.labels, rows);
-            // Inner maximization: one layer-normalized ascent step.
-            const nn::LossResult loss =
+            // Inner maximization: one layer-normalized ascent step.  The
+            // batch is read twice, so this forward takes a copy.
+            nn::LossResult loss =
                 nn::cross_entropy(net.forward(batch), labels);
-            net.backward_params(loss.grad);
+            net.backward_params(std::move(loss.grad));
 
             std::vector<Tensor> deltas;
             deltas.reserve(params.size());
@@ -76,9 +77,9 @@ void train_awp(models::ModelHandle& model, const data::Dataset& train_set,
 
             // Outer minimization: gradient at the perturbed point.
             opt.zero_grad();
-            const nn::LossResult adv_loss =
-                nn::cross_entropy(net.forward(batch), labels);
-            net.backward_params(adv_loss.grad);
+            nn::LossResult adv_loss =
+                nn::cross_entropy(net.forward(std::move(batch)), labels);
+            net.backward_params(std::move(adv_loss.grad));
 
             // Restore the clean weights; the loop steps with the
             // adversarial gradients.
@@ -132,10 +133,10 @@ void FtnaClassifier::train(const data::Dataset& train_set,
     }
     nn::train_epochs(
         net, opt, train_set.images, config.epochs, config.batch_size, rng,
-        [&](const Tensor& batch, std::span<const std::size_t> rows) {
-            const nn::LossResult loss = nn::bce_with_logits(
-                net.forward(batch), nn::gather_rows(codes, rows));
-            net.backward_params(loss.grad);
+        [&](Tensor batch, std::span<const std::size_t> rows) {
+            nn::LossResult loss = nn::bce_with_logits(
+                net.forward(std::move(batch)), nn::gather_rows(codes, rows));
+            net.backward_params(std::move(loss.grad));
             return loss.value;
         });
 }

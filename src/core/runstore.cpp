@@ -409,10 +409,14 @@ std::vector<ScenarioSummary> summarize_runs(
 }
 
 std::string format_hex(std::uint64_t value) {
-    char buffer[24];
-    std::snprintf(buffer, sizeof buffer, "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
+    // The bytes of snprintf's "%016llx", one nibble at a time from the
+    // right, without parsing a format string per call.
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out(16, '0');
+    for (std::size_t i = out.size(); i-- > 0; value >>= 4) {
+        out[i] = kDigits[value & 0xFU];
+    }
+    return out;
 }
 
 bool parse_hex(const std::string& text, std::uint64_t& out) {

@@ -102,12 +102,12 @@ double GridDetector::train_with(
     nn::Adam opt(net.parameters(), train_config.learning_rate);
     return nn::train_epochs(
         net, opt, images, train_config.epochs, train_config.batch_size, rng,
-        [&](const Tensor& batch, std::span<const std::size_t> rows) {
-            const nn::LossResult loss =
-                nn::mse(net.forward(batch),
+        [&](Tensor batch, std::span<const std::size_t> rows) {
+            nn::LossResult loss =
+                nn::mse(net.forward(std::move(batch)),
                         nn::gather_rows(targets.values, rows),
                         nn::gather_rows(targets.weights, rows));
-            net.backward_params(loss.grad);
+            net.backward_params(std::move(loss.grad));
             return loss.value;
         });
 }

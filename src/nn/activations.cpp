@@ -5,20 +5,21 @@
 
 namespace bayesft::nn {
 
-Tensor Activation::forward(const Tensor& input) {
+Tensor Activation::forward(Tensor input) {
+    const auto& kt = simd::kernels();
     // Only a training-mode forward is followed by a backward.
-    if (training_) {
-        cached_input_ = input;
-    } else {
+    if (!training_) {
         cached_input_ = Tensor();
+        kt.act_fwd(kind(), input.data(), input.data(), input.size(), param());
+        return input;
     }
-    Tensor out(input.shape());
-    simd::kernels().act_fwd(kind(), input.data(), out.data(), out.size(),
-                            param());
+    cached_input_ = std::move(input);
+    Tensor out(cached_input_.shape(), for_overwrite);
+    kt.act_fwd(kind(), cached_input_.data(), out.data(), out.size(), param());
     return out;
 }
 
-Tensor Activation::backward(const Tensor& grad_output) {
+Tensor Activation::backward(Tensor grad_output) {
     if (cached_input_.rank() == 0) {
         throw std::logic_error(
             "Activation::backward: no training-mode forward to differentiate");
@@ -26,10 +27,9 @@ Tensor Activation::backward(const Tensor& grad_output) {
     if (grad_output.shape() != cached_input_.shape()) {
         throw std::invalid_argument("Activation::backward: shape mismatch");
     }
-    Tensor grad(grad_output.shape());
     simd::kernels().act_bwd(kind(), cached_input_.data(), grad_output.data(),
-                            grad.data(), grad.size(), param());
-    return grad;
+                            grad_output.data(), grad_output.size(), param());
+    return grad_output;
 }
 
 LeakyReLU::LeakyReLU(float negative_slope) : slope_(negative_slope) {}

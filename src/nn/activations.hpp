@@ -8,17 +8,18 @@
 
 namespace bayesft::nn {
 
-/// Common base: a training-mode forward caches its input for the backward
-/// pass; an eval-mode forward keeps nothing, and a backward after it
-/// throws std::logic_error.  The elementwise loops run through the
-/// runtime-dispatched SIMD kernels (simd::kernels().act_fwd / act_bwd),
-/// each writing its result in one pass from its inputs; a subclass only
-/// names its kernel via kind() and supplies the scalar parameter via
-/// param().
+/// Common base: a training-mode forward moves its input into its cache for
+/// the backward pass and writes a fresh output; an eval-mode forward keeps
+/// nothing and overwrites its argument in place, and a backward after it
+/// throws std::logic_error.  The backward overwrites its gradient argument
+/// in place.  The elementwise loops run through the runtime-dispatched
+/// SIMD kernels (simd::kernels().act_fwd / act_bwd), each writing its
+/// result in one pass from its inputs; a subclass only names its kernel
+/// via kind() and supplies the scalar parameter via param().
 class Activation : public Module {
 public:
-    Tensor forward(const Tensor& input) final;
-    Tensor backward(const Tensor& grad_output) final;
+    Tensor forward(Tensor input) final;
+    Tensor backward(Tensor grad_output) final;
 
 protected:
     /// Which elementwise kernel implements this activation.

@@ -37,24 +37,31 @@ void ensure_size(std::vector<T>& buffer, std::size_t n) {
     if (buffer.size() < n) buffer.resize(n);
 }
 
-/// out[r] += float(sum of row r) for the `rows` rows of length `len` at g
-/// (leading dim len), each sum a double chain from +0 over the row in
-/// order.  N rows at a time run side by side, so their chains overlap;
-/// the remainder goes through N - 1.
+/// out[r] += float(sum of row r) for the `rows` rows of a block split
+/// into `segments` segments `seg_stride` floats apart, each holding a
+/// `len`-float piece of every row (row r's piece in segment s starts at
+/// g + s * seg_stride + r * len).  Each sum is a double chain from +0 over
+/// the row's pieces in segment order.  N rows at a time run side by side,
+/// so their chains overlap; the remainder goes through N - 1.
 template <std::size_t N = 4>
-void add_row_sums(const float* g, std::size_t len, std::size_t rows,
-                  float* out) {
+void add_row_sums(const float* g, std::size_t len, std::size_t segments,
+                  std::size_t seg_stride, std::size_t rows, float* out) {
     for (; rows >= N; rows -= N, g += N * len, out += N) {
         double acc[N] = {};
-        for (std::size_t p = 0; p < len; ++p) {
-            for (std::size_t i = 0; i < N; ++i) acc[i] += g[i * len + p];
+        for (std::size_t s = 0; s < segments; ++s) {
+            const float* seg = g + s * seg_stride;
+            for (std::size_t p = 0; p < len; ++p) {
+                for (std::size_t i = 0; i < N; ++i) acc[i] += seg[i * len + p];
+            }
         }
         for (std::size_t i = 0; i < N; ++i) {
             out[i] += static_cast<float>(acc[i]);
         }
     }
     if constexpr (N > 1) {
-        if (rows > 0) add_row_sums<N - 1>(g, len, rows, out);
+        if (rows > 0) {
+            add_row_sums<N - 1>(g, len, segments, seg_stride, rows, out);
+        }
     }
 }
 
@@ -141,6 +148,49 @@ void avg_pool_backward(const float* gout, std::size_t planes, std::size_t h,
     }
 }
 
+/// AvgPool2d backward where windows do not overlap (kernel <= stride):
+/// each input element lies in at most one window, so it takes its one
+/// addition as 0.0F + g (the bits an addition onto a zero-filled gradient
+/// gives) and is written once; elements in no window (the gaps between
+/// windows, rows and columns past the last one) are written +0.  The
+/// gradient buffer needs no zero fill.
+template <class Window>
+void avg_pool_backward_disjoint(const float* gout, std::size_t planes,
+                                std::size_t h, std::size_t w, std::size_t oh,
+                                std::size_t ow, Window pw, float inv,
+                                float* grad) {
+    const std::size_t k = pw.kernel(), s = pw.stride();
+    const std::size_t covered_h = (oh - 1) * s + k;
+    const std::size_t covered_w = (ow - 1) * s + k;
+    const auto zero_rows = [w](float* rows, std::size_t n) {
+        for (std::size_t i = 0; i < n * w; ++i) rows[i] = 0.0F;
+    };
+    for (std::size_t p = 0; p < planes; ++p) {
+        float* plane = grad + p * h * w;
+        const float* gplane = gout + p * oh * ow;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            float* top = plane + oy * s * w;
+            const float* grow = gplane + oy * ow;
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+                const float v = 0.0F + grow[ox] * inv;
+                for (std::size_t ky = 0; ky < k; ++ky) {
+                    float* win = top + ky * w + ox * s;
+                    for (std::size_t kx = 0; kx < k; ++kx) win[kx] = v;
+                    if (ox + 1 < ow) {
+                        for (std::size_t kx = k; kx < s; ++kx) win[kx] = 0.0F;
+                    }
+                }
+            }
+            for (std::size_t ky = 0; ky < k; ++ky) {
+                float* row = top + ky * w;
+                for (std::size_t x = covered_w; x < w; ++x) row[x] = 0.0F;
+            }
+            if (oy + 1 < oh) zero_rows(top + k * w, s - k);
+        }
+        zero_rows(plane + covered_h * w, h - covered_h);
+    }
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -173,22 +223,25 @@ ConvGeometry Conv2d::geometry_for(const Tensor& input) const {
     return g;
 }
 
-Tensor Conv2d::forward(const Tensor& input) {
+Tensor Conv2d::forward(Tensor input) {
     require_nchw(input, "Conv2d");
     if (input.dim(1) != in_channels_) {
         throw std::invalid_argument("Conv2d: channel mismatch, got " +
                                     shape_to_string(input.shape()));
     }
-    cached_input_ = input;
+    cached_input_ = std::move(input);
     cols_hold_input_ = false;
-    if (mode_ != InferenceMode::kFloat32) return forward_fixed_point(input);
-    const ConvGeometry g = geometry_for(input);
-    const std::size_t n = input.dim(0);
+    if (mode_ != InferenceMode::kFloat32) {
+        return forward_fixed_point(cached_input_);
+    }
+    const Tensor& x = cached_input_;
+    const ConvGeometry g = geometry_for(x);
+    const std::size_t n = x.dim(0);
     const std::size_t oh = g.out_h(), ow = g.out_w();
     const std::size_t patch = in_channels_ * kernel_ * kernel_;
     const std::size_t positions = oh * ow;
 
-    Tensor output({n, out_channels_, oh, ow});
+    Tensor output({n, out_channels_, oh, ow}, for_overwrite);
     const std::size_t image_stride = in_channels_ * g.in_h * g.in_w;
     const std::size_t group = conv_group_size(n, patch, positions);
     ensure_size(cols_scratch_, patch * group * positions);
@@ -200,7 +253,7 @@ Tensor Conv2d::forward(const Tensor& input) {
         // sample s owns the column slice starting at s*positions.
         parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
-                im2col(input.data() + (g0 + s) * image_stride, g,
+                im2col(x.data() + (g0 + s) * image_stride, g,
                        cols_scratch_.data() + s * positions, gp);
             }
         });
@@ -244,7 +297,7 @@ Tensor Conv2d::forward_fixed_point(const Tensor& input) {
         kt.max_abs(weight_.value.data(), weight_.value.size()) / qmax;
     const float s_x = kt.max_abs(input.data(), input.size()) / qmax;
 
-    Tensor output({n, out_channels_, oh, ow});
+    Tensor output({n, out_channels_, oh, ow}, for_overwrite);
     if (s_w == 0.0F || s_x == 0.0F) {
         // An all-zero operand quantizes to all-zero codes: y = b.
         for (std::size_t i = 0; i < n; ++i) {
@@ -305,13 +358,13 @@ Tensor Conv2d::forward_fixed_point(const Tensor& input) {
     return output;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::backward(Tensor grad_output) {
     Tensor grad_input(cached_input_.shape());
     backward_into(grad_output, &grad_input);
     return grad_input;
 }
 
-void Conv2d::backward_params(const Tensor& grad_output) {
+void Conv2d::backward_params(Tensor grad_output) {
     backward_into(grad_output, nullptr);
 }
 
@@ -329,19 +382,26 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
     }
 
     const std::size_t image_stride = in_channels_ * g.in_h * g.in_w;
+    const std::size_t sample_grad = out_channels_ * positions;
     const std::size_t group = conv_group_size(n, patch, positions);
     ensure_size(cols_scratch_, patch * group * positions);
-    ensure_size(grad_scratch_, out_channels_ * group * positions);
-    ensure_size(colsT_scratch_, group * positions * patch);
+    ensure_size(grad_t_scratch_, group * positions * out_channels_);
+    // dW^T [patch, OC]: the dW GEMM below accumulates into it, and it goes
+    // back into weight_.grad after the last group.
+    ensure_size(weight_grad_t_, patch * out_channels_);
+    transpose_into(weight_.grad.data(), out_channels_, patch,
+                   weight_grad_t_.data());
     // W^T once per call: the dcols GEMM streams contiguous rows of it.
     Tensor wt;
     if (grad_input != nullptr) {
-        wt = Tensor({patch, out_channels_});
+        ensure_size(grad_scratch_, out_channels_ * group * positions);
+        wt = Tensor({patch, out_channels_}, for_overwrite);
         transpose_into(weight_.value.data(), out_channels_, patch, wt.data());
     }
     for (std::size_t g0 = 0; g0 < n; g0 += group) {
         const std::size_t gs = std::min(group, n - g0);
         const std::size_t gp = gs * positions;
+        const float* gout = grad_output.data() + g0 * sample_grad;
         // Unfold the input again unless the forward left this group's
         // unfold in place (the whole batch as one group).
         if (!cols_hold_input_) {
@@ -352,28 +412,38 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
                 }
             });
         }
+        // G^T: grad_output's [OC, positions] blocks transposed into one
+        // [gs*positions, OC] slab, sample s at row s*positions.
+        parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t s = lo; s < hi; ++s) {
+                transpose_into(gout + s * sample_grad, out_channels_,
+                               positions,
+                               grad_t_scratch_.data() +
+                                   s * positions * out_channels_);
+            }
+        });
+        // dW^T += cols @ G^T as one batched GEMM over the group.  Element
+        // (p, oc) runs the fma chain of dW's (oc, p) in G @ cols^T, with
+        // the two factors of each fma swapped: the same bits, without a
+        // transposed copy of the unfold.
+        gemm_accumulate(cols_scratch_.data(), grad_t_scratch_.data(),
+                        weight_grad_t_.data(), patch, gp, out_channels_);
+        // db += row sums of G, read in place from grad_output.
+        add_row_sums(gout, positions, gs, sample_grad, out_channels_,
+                     bias_.grad.data());
+        if (grad_input == nullptr) continue;
         // Gather grad_output [N, OC, positions] into one [OC, gs*positions]
         // slab matching the cols layout.
         parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
                 for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-                    const float* src =
-                        grad_output.data() +
-                        ((g0 + s) * out_channels_ + oc) * positions;
-                    std::copy_n(src, positions,
+                    std::copy_n(gout + s * sample_grad + oc * positions,
+                                positions,
                                 grad_scratch_.data() + oc * gp +
                                     s * positions);
                 }
             }
         });
-        // dW += G @ cols^T as one batched GEMM over the group.
-        transpose_into(cols_scratch_.data(), patch, gp, colsT_scratch_.data());
-        gemm_accumulate(grad_scratch_.data(), colsT_scratch_.data(),
-                        weight_.grad.data(), out_channels_, gp, patch);
-        // db += row sums of G.
-        add_row_sums(grad_scratch_.data(), gp, out_channels_,
-                     bias_.grad.data());
-        if (grad_input == nullptr) continue;
         // dcols = W^T @ G, folded back into the input gradient.  The cols
         // buffer is dead after the dW product, so reuse it for dcols.
         cols_hold_input_ = false;
@@ -386,6 +456,8 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
             }
         });
     }
+    transpose_into(weight_grad_t_.data(), patch, out_channels_,
+                   weight_.grad.data());
 }
 
 void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
@@ -421,7 +493,7 @@ MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)
     if (kernel == 0) throw std::invalid_argument("MaxPool2d: zero kernel");
 }
 
-Tensor MaxPool2d::forward(const Tensor& input) {
+Tensor MaxPool2d::forward(Tensor input) {
     require_nchw(input, "MaxPool2d");
     const std::size_t n = input.dim(0), c = input.dim(1);
     const std::size_t h = input.dim(2), w = input.dim(3);
@@ -431,7 +503,7 @@ Tensor MaxPool2d::forward(const Tensor& input) {
     const std::size_t oh = (h - kernel_) / stride_ + 1;
     const std::size_t ow = (w - kernel_) / stride_ + 1;
     input_shape_ = input.shape();
-    Tensor output({n, c, oh, ow});
+    Tensor output({n, c, oh, ow}, for_overwrite);
     argmax_.assign(output.size(), 0);
     for (std::size_t s = 0; s < n; ++s) {
         for (std::size_t ch = 0; ch < c; ++ch) {
@@ -462,7 +534,7 @@ Tensor MaxPool2d::forward(const Tensor& input) {
     return output;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
+Tensor MaxPool2d::backward(Tensor grad_output) {
     if (grad_output.size() != argmax_.size()) {
         throw std::invalid_argument("MaxPool2d::backward: bad grad size");
     }
@@ -485,12 +557,12 @@ std::string MaxPool2d::name() const {
     return os.str();
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& input) {
+Tensor GlobalAvgPool::forward(Tensor input) {
     require_nchw(input, "GlobalAvgPool");
     input_shape_ = input.shape();
     const std::size_t n = input.dim(0), c = input.dim(1);
     const std::size_t spatial = input.dim(2) * input.dim(3);
-    Tensor output({n, c});
+    Tensor output({n, c}, for_overwrite);
     for (std::size_t s = 0; s < n; ++s) {
         for (std::size_t ch = 0; ch < c; ++ch) {
             const float* plane = input.data() + (s * c + ch) * spatial;
@@ -502,14 +574,14 @@ Tensor GlobalAvgPool::forward(const Tensor& input) {
     return output;
 }
 
-Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
+Tensor GlobalAvgPool::backward(Tensor grad_output) {
     const std::size_t n = input_shape_[0], c = input_shape_[1];
     const std::size_t spatial = input_shape_[2] * input_shape_[3];
     if (grad_output.rank() != 2 || grad_output.dim(0) != n ||
         grad_output.dim(1) != c) {
         throw std::invalid_argument("GlobalAvgPool::backward: bad grad shape");
     }
-    Tensor grad_input(input_shape_);
+    Tensor grad_input(input_shape_, for_overwrite);
     const float inv = 1.0F / static_cast<float>(spatial);
     for (std::size_t s = 0; s < n; ++s) {
         for (std::size_t ch = 0; ch < c; ++ch) {
@@ -526,7 +598,7 @@ AvgPool2d::AvgPool2d(std::size_t kernel, std::size_t stride)
     if (kernel == 0) throw std::invalid_argument("AvgPool2d: zero kernel");
 }
 
-Tensor AvgPool2d::forward(const Tensor& input) {
+Tensor AvgPool2d::forward(Tensor input) {
     require_nchw(input, "AvgPool2d");
     const std::size_t n = input.dim(0), c = input.dim(1);
     const std::size_t h = input.dim(2), w = input.dim(3);
@@ -536,7 +608,7 @@ Tensor AvgPool2d::forward(const Tensor& input) {
     const std::size_t oh = (h - kernel_) / stride_ + 1;
     const std::size_t ow = (w - kernel_) / stride_ + 1;
     input_shape_ = input.shape();
-    Tensor output({n, c, oh, ow});
+    Tensor output({n, c, oh, ow}, for_overwrite);
     const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
     if (kernel_ == 2 && stride_ == 2) {
         avg_pool_forward(input.data(), n * c, h, w, oh, ow, PoolWindow<2, 2>{},
@@ -548,7 +620,7 @@ Tensor AvgPool2d::forward(const Tensor& input) {
     return output;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
+Tensor AvgPool2d::backward(Tensor grad_output) {
     const std::size_t n = input_shape_[0], c = input_shape_[1];
     const std::size_t h = input_shape_[2], w = input_shape_[3];
     const std::size_t oh = (h - kernel_) / stride_ + 1;
@@ -558,16 +630,24 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
         grad_output.dim(3) != ow) {
         throw std::invalid_argument("AvgPool2d::backward: bad grad shape");
     }
-    Tensor grad_input(input_shape_);
     const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
     if (kernel_ == 2 && stride_ == 2) {
-        avg_pool_backward(grad_output.data(), n * c, h, w, oh, ow,
-                          PoolWindow<2, 2>{}, inv, grad_input.data());
-    } else {
-        avg_pool_backward(grad_output.data(), n * c, h, w, oh, ow,
-                          PoolWindow<>{kernel_, stride_}, inv,
-                          grad_input.data());
+        Tensor grad_input(input_shape_, for_overwrite);
+        avg_pool_backward_disjoint(grad_output.data(), n * c, h, w, oh, ow,
+                                   PoolWindow<2, 2>{}, inv,
+                                   grad_input.data());
+        return grad_input;
     }
+    if (kernel_ <= stride_) {
+        Tensor grad_input(input_shape_, for_overwrite);
+        avg_pool_backward_disjoint(grad_output.data(), n * c, h, w, oh, ow,
+                                   PoolWindow<>{kernel_, stride_}, inv,
+                                   grad_input.data());
+        return grad_input;
+    }
+    Tensor grad_input(input_shape_);
+    avg_pool_backward(grad_output.data(), n * c, h, w, oh, ow,
+                      PoolWindow<>{kernel_, stride_}, inv, grad_input.data());
     return grad_input;
 }
 

@@ -23,11 +23,12 @@ public:
     Conv2d(std::size_t in_channels, std::size_t out_channels,
            std::size_t kernel, std::size_t stride, std::size_t pad, Rng& rng);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    /// Moves the input into its cache (the backward reads it).
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     /// dW and db without W^T, the dcols GEMM, col2im or the input
     /// gradient.
-    void backward_params(const Tensor& grad_output) override;
+    void backward_params(Tensor grad_output) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
@@ -70,7 +71,8 @@ private:
     bool cols_hold_input_ = false;
     std::vector<float> gemm_scratch_;    // [out_channels, group*positions]
     std::vector<float> grad_scratch_;    // backward: grad slab [OC, group*P]
-    std::vector<float> colsT_scratch_;   // backward: cols^T [group*P, patch]
+    std::vector<float> grad_t_scratch_;  // backward: grad^T [group*P, OC]
+    std::vector<float> weight_grad_t_;   // backward: dW^T [patch, OC]
     // Fixed-point scratch: per-tensor codes of W and the input image, plus
     // the unfolded / transposed code matrices.
     std::vector<std::int16_t> weight_codes_;   // [OC, patch]
@@ -84,8 +86,8 @@ class MaxPool2d : public Module {
 public:
     explicit MaxPool2d(std::size_t kernel, std::size_t stride = 0);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
 
@@ -99,8 +101,8 @@ private:
 /// Global average pooling: [N, C, H, W] -> [N, C].
 class GlobalAvgPool : public Module {
 public:
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     std::unique_ptr<Module> clone() const override {
         return std::make_unique<GlobalAvgPool>();
     }
@@ -115,8 +117,8 @@ class AvgPool2d : public Module {
 public:
     explicit AvgPool2d(std::size_t kernel, std::size_t stride = 0);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
 

@@ -30,17 +30,16 @@ void Dropout::set_rate(double rate) {
     rate_ = rate;
 }
 
-Tensor Dropout::forward(const Tensor& input) {
+Tensor Dropout::forward(Tensor input) {
     if (!training() || rate_ == 0.0) {
         mask_ = Tensor();  // signals pass-through for backward
         return input;
     }
     const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
-    mask_ = Tensor(input.shape());
-    Tensor out = input;
+    mask_ = Tensor(input.shape(), for_overwrite);
     float* m = mask_.data();
-    float* o = out.data();
-    for (std::size_t i = 0; i < out.size(); ++i) {
+    float* o = input.data();
+    for (std::size_t i = 0; i < input.size(); ++i) {
         if (rng_.bernoulli(rate_)) {
             m[i] = 0.0F;
             o[i] = 0.0F;
@@ -49,17 +48,16 @@ Tensor Dropout::forward(const Tensor& input) {
             o[i] *= keep_scale;
         }
     }
-    return out;
+    return input;
 }
 
-Tensor Dropout::backward(const Tensor& grad_output) {
+Tensor Dropout::backward(Tensor grad_output) {
     if (mask_.empty()) return grad_output;
     if (grad_output.shape() != mask_.shape()) {
         throw std::invalid_argument("Dropout::backward: shape mismatch");
     }
-    Tensor grad = grad_output;
-    grad.mul_(mask_);
-    return grad;
+    grad_output.mul_(mask_);
+    return grad_output;
 }
 
 std::unique_ptr<Module> Dropout::clone() const {
@@ -85,7 +83,7 @@ void AlphaDropout::set_rate(double rate) {
     rate_ = rate;
 }
 
-Tensor AlphaDropout::forward(const Tensor& input) {
+Tensor AlphaDropout::forward(Tensor input) {
     if (!training() || rate_ == 0.0) {
         mask_ = Tensor();
         return input;
@@ -98,11 +96,10 @@ Tensor AlphaDropout::forward(const Tensor& input) {
     const double b = -a * p * kAlphaPrime;
     scale_a_ = static_cast<float>(a);
 
-    mask_ = Tensor(input.shape());
-    Tensor out = input;
+    mask_ = Tensor(input.shape(), for_overwrite);
     float* m = mask_.data();
-    float* o = out.data();
-    for (std::size_t i = 0; i < out.size(); ++i) {
+    float* o = input.data();
+    for (std::size_t i = 0; i < input.size(); ++i) {
         if (rng_.bernoulli(p)) {
             m[i] = 0.0F;
             o[i] = kAlphaPrime;
@@ -111,19 +108,18 @@ Tensor AlphaDropout::forward(const Tensor& input) {
         }
         o[i] = static_cast<float>(a) * o[i] + static_cast<float>(b);
     }
-    return out;
+    return input;
 }
 
-Tensor AlphaDropout::backward(const Tensor& grad_output) {
+Tensor AlphaDropout::backward(Tensor grad_output) {
     if (mask_.empty()) return grad_output;
     if (grad_output.shape() != mask_.shape()) {
         throw std::invalid_argument("AlphaDropout::backward: shape mismatch");
     }
     // y = a * (kept ? x : alpha') + b  =>  dy/dx = a on kept positions.
-    Tensor grad = grad_output;
-    grad.mul_(mask_);
-    grad.mul_scalar_(scale_a_);
-    return grad;
+    grad_output.mul_(mask_);
+    grad_output.mul_scalar_(scale_a_);
+    return grad_output;
 }
 
 std::unique_ptr<Module> AlphaDropout::clone() const {

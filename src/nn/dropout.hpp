@@ -12,14 +12,16 @@ namespace bayesft::nn {
 
 /// Standard (inverted) dropout: during training each element is zeroed with
 /// probability `rate` and survivors are scaled by 1/(1-rate) so that the
-/// expected activation is unchanged.  Identity in eval mode.
+/// expected activation is unchanged.  Identity in eval mode and at rate 0,
+/// where forward and backward return their argument; otherwise both mask
+/// their argument in place.
 class Dropout : public Module {
 public:
     /// `seed` makes mask sampling reproducible per layer.
     explicit Dropout(double rate, std::uint64_t seed = 0x5EEDULL);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
 
@@ -46,8 +48,8 @@ class AlphaDropout : public Module {
 public:
     explicit AlphaDropout(double rate, std::uint64_t seed = 0xA1FAULL);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
 

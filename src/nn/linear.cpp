@@ -21,15 +21,17 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
     }
 }
 
-Tensor Linear::forward(const Tensor& input) {
+Tensor Linear::forward(Tensor input) {
     if (input.rank() != 2 || input.dim(1) != in_features_) {
         throw std::invalid_argument("Linear: expected [N, " +
                                     std::to_string(in_features_) + "], got " +
                                     shape_to_string(input.shape()));
     }
-    cached_input_ = input;
-    if (mode_ != InferenceMode::kFloat32) return forward_fixed_point(input);
-    Tensor out = matmul_nt(input, weight_.value);  // [N, out]
+    cached_input_ = std::move(input);
+    if (mode_ != InferenceMode::kFloat32) {
+        return forward_fixed_point(cached_input_);
+    }
+    Tensor out = matmul_nt(cached_input_, weight_.value);  // [N, out]
     const std::size_t n = out.dim(0);
     for (std::size_t i = 0; i < n; ++i) {
         float* row = out.data() + i * out_features_;
@@ -51,7 +53,7 @@ Tensor Linear::forward_fixed_point(const Tensor& input) {
         kt.max_abs(weight_.value.data(), weight_.value.size()) / qmax;
     const float s_x = kt.max_abs(input.data(), input.size()) / qmax;
     const std::size_t n = input.dim(0);
-    Tensor out({n, out_features_});
+    Tensor out({n, out_features_}, for_overwrite);
     if (s_w == 0.0F || s_x == 0.0F) {
         // An all-zero operand quantizes to all-zero codes: y = b.
         for (std::size_t i = 0; i < n; ++i) {
@@ -81,12 +83,13 @@ Tensor Linear::forward_fixed_point(const Tensor& input) {
     return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
-    backward_params(grad_output);
-    return matmul(grad_output, weight_.value);  // dX = dY W
+Tensor Linear::backward(Tensor grad_output) {
+    Tensor grad_input = matmul(grad_output, weight_.value);  // dX = dY W
+    backward_params(std::move(grad_output));
+    return grad_input;
 }
 
-void Linear::backward_params(const Tensor& grad_output) {
+void Linear::backward_params(Tensor grad_output) {
     if (grad_output.rank() != 2 || grad_output.dim(1) != out_features_ ||
         grad_output.dim(0) != cached_input_.dim(0)) {
         throw std::invalid_argument("Linear::backward: bad grad shape " +

@@ -21,10 +21,11 @@ public:
     /// Xavier-uniform initialized weights, zero bias.
     Linear(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    /// Moves the input into its cache (the backward reads it).
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     /// dW and db without the dX product.
-    void backward_params(const Tensor& grad_output) override;
+    void backward_params(Tensor grad_output) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;

@@ -18,7 +18,7 @@ LossResult cross_entropy(const Tensor& logits,
     }
     const Tensor log_probs = log_softmax_rows(logits);
     LossResult result;
-    result.grad = Tensor({n, k});
+    result.grad = Tensor({n, k}, for_overwrite);
     double total = 0.0;
     const float inv_n = 1.0F / static_cast<float>(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -46,7 +46,7 @@ LossResult bce_with_logits(const Tensor& logits, const Tensor& targets) {
         throw std::invalid_argument("bce_with_logits: empty input");
     }
     LossResult result;
-    result.grad = Tensor(logits.shape());
+    result.grad = Tensor(logits.shape(), for_overwrite);
     double total = 0.0;
     const std::size_t count = logits.size();
     const float inv = 1.0F / static_cast<float>(count);
@@ -76,7 +76,7 @@ LossResult mse(const Tensor& pred, const Tensor& target,
         throw std::invalid_argument("mse: weight shape mismatch");
     }
     LossResult result;
-    result.grad = Tensor(pred.shape());
+    result.grad = Tensor(pred.shape(), for_overwrite);
     double total = 0.0;
     const std::size_t count = pred.size();
     const float inv = 1.0F / static_cast<float>(count);

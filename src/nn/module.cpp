@@ -5,8 +5,8 @@
 
 namespace bayesft::nn {
 
-void Module::backward_params(const Tensor& grad_output) {
-    (void)backward(grad_output);
+void Module::backward_params(Tensor grad_output) {
+    (void)backward(std::move(grad_output));
 }
 
 void Module::collect_parameters(std::vector<Parameter*>&) {}
@@ -31,36 +31,29 @@ std::size_t Module::parameter_count() {
     return total;
 }
 
-Tensor Sequential::forward(const Tensor& input) {
-    if (children_.empty()) return input;
-    // The first child reads the caller's input, so no batch is copied.
-    Tensor current = children_.front()->forward(input);
-    for (std::size_t i = 1; i < children_.size(); ++i) {
-        current = children_[i]->forward(current);
-    }
-    return current;
+Tensor Sequential::forward(Tensor input) {
+    for (auto& child : children_) input = child->forward(std::move(input));
+    return input;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
-    Tensor current = grad_output;
+Tensor Sequential::backward(Tensor grad_output) {
     for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-        current = (*it)->backward(current);
+        grad_output = (*it)->backward(std::move(grad_output));
     }
-    return current;
+    return grad_output;
 }
 
-void Sequential::backward_params(const Tensor& grad_output) {
+void Sequential::backward_params(Tensor grad_output) {
     std::size_t first = 0;
     while (first < children_.size() &&
            children_[first]->parameters().empty()) {
         ++first;
     }
     if (first == children_.size()) return;
-    Tensor current = grad_output;
     for (std::size_t i = children_.size() - 1; i > first; --i) {
-        current = children_[i]->backward(current);
+        grad_output = children_[i]->backward(std::move(grad_output));
     }
-    children_[first]->backward_params(current);
+    children_[first]->backward_params(std::move(grad_output));
 }
 
 void Sequential::collect_children(std::vector<Module*>& out) {
@@ -97,17 +90,19 @@ std::string Sequential::name() const {
     return os.str();
 }
 
-Tensor Flatten::forward(const Tensor& input) {
+Tensor Flatten::forward(Tensor input) {
     if (input.rank() < 2) {
         throw std::invalid_argument("Flatten: expected rank >= 2, got " +
                                     shape_to_string(input.shape()));
     }
     input_shape_ = input.shape();
-    return input.reshaped({input.dim(0), 0});
+    input.reshape({input.dim(0), 0});
+    return input;
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
-    return grad_output.reshaped(input_shape_);
+Tensor Flatten::backward(Tensor grad_output) {
+    grad_output.reshape(input_shape_);
+    return grad_output;
 }
 
 }  // namespace bayesft::nn

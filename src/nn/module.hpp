@@ -40,6 +40,12 @@ struct Parameter {
 /// parameter gradients, bit for bit, but returns no input gradient: it is
 /// the entry point of a training step, whose loop drops the gradient of
 /// the model's input.
+///
+/// Ownership: `forward`, `backward` and `backward_params` take their
+/// tensor by value.  A caller that still needs its tensor passes an lvalue
+/// (one copy, and the caller's tensor is left unchanged); a caller done
+/// with it moves it in, and the layer may cache it, overwrite it in place
+/// or return it as its result.  Either way the result has the same bits.
 class Module {
 public:
     virtual ~Module() = default;
@@ -48,15 +54,15 @@ public:
     Module& operator=(const Module&) = delete;
 
     /// Computes the layer output; caches whatever backward needs.
-    virtual Tensor forward(const Tensor& input) = 0;
+    virtual Tensor forward(Tensor input) = 0;
 
     /// Propagates gradients; accumulates parameter grads.
-    virtual Tensor backward(const Tensor& grad_output) = 0;
+    virtual Tensor backward(Tensor grad_output) = 0;
 
     /// Accumulates parameter grads only.  The default runs `backward` and
     /// drops its result; layers override it to skip the input-gradient
     /// work.
-    virtual void backward_params(const Tensor& grad_output);
+    virtual void backward_params(Tensor grad_output);
 
     /// Deep structural copy carrying the current parameter values, buffers
     /// and train/eval flag (but no cached forward state).  Used to build
@@ -125,12 +131,13 @@ public:
         return add(std::make_unique<M>(std::forward<Args>(args)...));
     }
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    /// Moves each intermediate on from child to child.
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     /// Runs `backward` down to the first child that owns parameters, then
     /// that child's `backward_params`; the parameter-free children before
     /// it (an MLP's Flatten) are skipped.
-    void backward_params(const Tensor& grad_output) override;
+    void backward_params(Tensor grad_output) override;
     void collect_children(std::vector<Module*>& out) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     void collect_buffers(std::vector<Tensor*>& out) override;
@@ -145,11 +152,12 @@ private:
     std::vector<std::unique_ptr<Module>> children_;
 };
 
-/// Reshapes [N, C, H, W] (or any rank >= 2) to [N, rest].
+/// Reshapes [N, C, H, W] (or any rank >= 2) to [N, rest], in place: it
+/// returns its argument with the new shape.
 class Flatten : public Module {
 public:
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     std::unique_ptr<Module> clone() const override {
         return std::make_unique<Flatten>();
     }
@@ -162,8 +170,8 @@ private:
 /// Identity layer (useful as a stand-in for disabled blocks).
 class Identity : public Module {
 public:
-    Tensor forward(const Tensor& input) override { return input; }
-    Tensor backward(const Tensor& grad_output) override { return grad_output; }
+    Tensor forward(Tensor input) override { return input; }
+    Tensor backward(Tensor grad_output) override { return grad_output; }
     std::unique_ptr<Module> clone() const override {
         return std::make_unique<Identity>();
     }

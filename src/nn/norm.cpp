@@ -47,15 +47,15 @@ GroupNorm::GroupNorm(std::size_t num_groups, std::size_t channels, float eps)
     }
 }
 
-Tensor GroupNorm::forward(const Tensor& input) {
+Tensor GroupNorm::forward(Tensor input) {
     const NcsView v = view_of(input, channels_, "GroupNorm");
     input_shape_ = input.shape();
     const std::size_t cpg = channels_ / num_groups_;  // channels per group
     const std::size_t slab = cpg * v.s;               // elements per (n, g)
 
-    normalized_ = Tensor(input.shape());
+    normalized_ = Tensor(input.shape(), for_overwrite);
     inv_stddev_.assign(v.n * num_groups_, 0.0F);
-    Tensor output(input.shape());
+    Tensor output(input.shape(), for_overwrite);
 
     for (std::size_t n = 0; n < v.n; ++n) {
         for (std::size_t g = 0; g < num_groups_; ++g) {
@@ -87,7 +87,7 @@ Tensor GroupNorm::forward(const Tensor& input) {
     return output;
 }
 
-Tensor GroupNorm::backward(const Tensor& grad_output) {
+Tensor GroupNorm::backward(Tensor grad_output) {
     if (grad_output.shape() != input_shape_) {
         throw std::invalid_argument("GroupNorm::backward: shape mismatch");
     }
@@ -159,11 +159,11 @@ BatchNorm::BatchNorm(std::size_t channels, float eps, float momentum)
     if (channels == 0) throw std::invalid_argument("BatchNorm: zero channels");
 }
 
-Tensor BatchNorm::forward(const Tensor& input) {
+Tensor BatchNorm::forward(Tensor input) {
     const NcsView v = view_of(input, channels_, "BatchNorm");
     input_shape_ = input.shape();
     forward_was_training_ = training();
-    Tensor output(input.shape());
+    Tensor output(input.shape(), for_overwrite);
 
     auto element = [&](const Tensor& t, std::size_t n, std::size_t c,
                        std::size_t s) -> float {
@@ -171,7 +171,7 @@ Tensor BatchNorm::forward(const Tensor& input) {
     };
 
     if (training()) {
-        normalized_ = Tensor(input.shape());
+        normalized_ = Tensor(input.shape(), for_overwrite);
         inv_stddev_.assign(channels_, 0.0F);
         const std::size_t count = v.n * v.s;
         if (count < 2) {
@@ -232,7 +232,7 @@ Tensor BatchNorm::forward(const Tensor& input) {
     return output;
 }
 
-Tensor BatchNorm::backward(const Tensor& grad_output) {
+Tensor BatchNorm::backward(Tensor grad_output) {
     if (grad_output.shape() != input_shape_) {
         throw std::invalid_argument("BatchNorm::backward: shape mismatch");
     }

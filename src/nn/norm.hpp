@@ -22,8 +22,8 @@ public:
     GroupNorm(std::size_t num_groups, std::size_t channels,
               float eps = 1e-5F);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
@@ -85,8 +85,8 @@ public:
     explicit BatchNorm(std::size_t channels, float eps = 1e-5F,
                        float momentum = 0.1F);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     void collect_buffers(std::vector<Tensor*>& out) override;
     std::unique_ptr<Module> clone() const override;

@@ -12,9 +12,9 @@ Residual::Residual(std::unique_ptr<Module> main_branch,
     if (!main_) throw std::invalid_argument("Residual: null main branch");
 }
 
-Tensor Residual::forward(const Tensor& input) {
+Tensor Residual::forward(Tensor input) {
     Tensor main_out = main_->forward(input);
-    Tensor short_out = shortcut_->forward(input);
+    Tensor short_out = shortcut_->forward(std::move(input));
     if (main_out.shape() != short_out.shape()) {
         throw std::invalid_argument(
             "Residual: branch shape mismatch " +
@@ -24,9 +24,9 @@ Tensor Residual::forward(const Tensor& input) {
     return main_out.add_(short_out);
 }
 
-Tensor Residual::backward(const Tensor& grad_output) {
+Tensor Residual::backward(Tensor grad_output) {
     Tensor grad_main = main_->backward(grad_output);
-    Tensor grad_short = shortcut_->backward(grad_output);
+    Tensor grad_short = shortcut_->backward(std::move(grad_output));
     return grad_main.add_(grad_short);
 }
 

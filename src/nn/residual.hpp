@@ -15,8 +15,10 @@ public:
     explicit Residual(std::unique_ptr<Module> main_branch,
                       std::unique_ptr<Module> shortcut = nullptr);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    /// The main branch reads a copy of the input, the shortcut the input
+    /// itself; the backward splits its gradient the same way.
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     void collect_children(std::vector<Module*>& out) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     void collect_buffers(std::vector<Tensor*>& out) override;

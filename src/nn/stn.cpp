@@ -59,7 +59,7 @@ Tensor affine_grid_sample(const Tensor& input, const Tensor& theta) {
     const std::size_t h = input.dim(2), w = input.dim(3);
     require_theta(theta, n);
 
-    Tensor output(input.shape());
+    Tensor output(input.shape(), for_overwrite);
     for (std::size_t s = 0; s < n; ++s) {
         const float* t = theta.data() + s * 6;
         for (std::size_t oy = 0; oy < h; ++oy) {
@@ -177,16 +177,16 @@ SpatialTransformer::SpatialTransformer(
     }
 }
 
-Tensor SpatialTransformer::forward(const Tensor& input) {
-    cached_input_ = input;
-    cached_theta_ = loc_net_->forward(input);
-    return affine_grid_sample(input, cached_theta_);
+Tensor SpatialTransformer::forward(Tensor input) {
+    cached_input_ = std::move(input);
+    cached_theta_ = loc_net_->forward(cached_input_);
+    return affine_grid_sample(cached_input_, cached_theta_);
 }
 
-Tensor SpatialTransformer::backward(const Tensor& grad_output) {
+Tensor SpatialTransformer::backward(Tensor grad_output) {
     GridSampleGrads grads = affine_grid_sample_backward(
         cached_input_, cached_theta_, grad_output);
-    Tensor grad_via_loc = loc_net_->backward(grads.grad_theta);
+    Tensor grad_via_loc = loc_net_->backward(std::move(grads.grad_theta));
     return grads.grad_input.add_(grad_via_loc);
 }
 

@@ -21,8 +21,9 @@ class SpatialTransformer : public Module {
 public:
     explicit SpatialTransformer(std::unique_ptr<Module> localization_net);
 
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
+    /// Moves the input into its cache; the localization net reads a copy.
+    Tensor forward(Tensor input) override;
+    Tensor backward(Tensor grad_output) override;
     void collect_children(std::vector<Module*>& out) override;
     void collect_parameters(std::vector<Parameter*>& out) override;
     void collect_buffers(std::vector<Tensor*>& out) override;

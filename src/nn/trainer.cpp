@@ -15,7 +15,7 @@ Tensor gather_rows(const Tensor& source,
     const std::size_t row = n == 0 ? 0 : source.size() / n;
     std::vector<std::size_t> shape = source.shape();
     shape[0] = indices.size();
-    Tensor out(shape);
+    Tensor out(shape, for_overwrite);
     for (std::size_t i = 0; i < indices.size(); ++i) {
         if (indices[i] >= n) {
             throw std::out_of_range("gather_rows: row index out of range");
@@ -86,10 +86,10 @@ double train_classifier(Module& model, const Tensor& images,
                   config.weight_decay);
     return train_epochs(
         model, optimizer, images, config.epochs, config.batch_size, rng,
-        [&](const Tensor& batch, std::span<const std::size_t> rows) {
-            const LossResult loss = cross_entropy(model.forward(batch),
-                                                  gather_labels(labels, rows));
-            model.backward_params(loss.grad);
+        [&](Tensor batch, std::span<const std::size_t> rows) {
+            LossResult loss = cross_entropy(model.forward(std::move(batch)),
+                                            gather_labels(labels, rows));
+            model.backward_params(std::move(loss.grad));
             return loss.value;
         });
 }
@@ -110,7 +110,7 @@ Tensor predict_logits(Module& model, const Tensor& images,
         const Tensor out = model.forward(gather_rows(
             images, std::span<const std::size_t>(order.data() + lo, hi - lo)));
         if (logits.empty()) {
-            logits = Tensor({n, out.dim(1)});
+            logits = Tensor({n, out.dim(1)}, for_overwrite);
         }
         std::copy_n(out.data(), out.size(), logits.data() + lo * out.dim(1));
     }

@@ -44,8 +44,9 @@ Batch gather_batch(const Tensor& images, const std::vector<int>& labels,
 
 /// One optimizer step's work: forward, loss and backward_params on
 /// `batch`, the inputs of training rows `rows`; returns the batch loss.
-using TrainStep = std::function<double(const Tensor& batch,
-                                       std::span<const std::size_t> rows)>;
+/// The step owns the batch and can move it into the model's forward.
+using TrainStep =
+    std::function<double(Tensor batch, std::span<const std::size_t> rows)>;
 
 /// The training loop.  Each epoch draws one rng.permutation(n) of the n
 /// rows of `inputs` and cuts it into runs of batch_size rows; a trailing

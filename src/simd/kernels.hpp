@@ -139,8 +139,8 @@ struct KernelTable {
     /// where that is padding.  Writes exactly those rows' out_h*out_w
     /// floats and reads only the image.  Stride 1 moves each position row
     /// W lanes at a time (one masked load from the shifted image row, one
-    /// store); other strides copy element by element.  Bits are copied,
-    /// never changed.
+    /// store), or at W = 1 as one copy of its valid span; other strides
+    /// copy element by element.  Bits are copied, never changed.
     void (*im2col_f32)(const float* image, const Unfold& u, float* out,
                        std::size_t ld);
     /// Adjoint of im2col_f32: image[c][iy][ix] += cols[row][oy*out_w + ox]
@@ -148,8 +148,8 @@ struct KernelTable {
     /// takes its additions in (ky, kx) order, one IEEE add each, as a
     /// per-element scatter does; an element no position reads keeps its
     /// bits.  Stride 1 holds each image row (c, ky, oy) in registers
-    /// across kx and stores it once; other strides scatter element by
-    /// element.
+    /// across kx and stores it once, or at W = 1 adds each position row's
+    /// span into its image row; other strides scatter element by element.
     void (*col2im_f32)(const float* cols, const Unfold& u, float* image,
                        std::size_t ld);
 

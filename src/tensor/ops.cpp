@@ -49,7 +49,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                     shape_to_string(a.shape()) + " x " +
                                     shape_to_string(b.shape()));
     }
-    Tensor c({m, n});
+    Tensor c({m, n}, for_overwrite);
     gemm_overwrite(a.data(), b.data(), c.data(), m, k, n);
     return c;
 }
@@ -65,9 +65,9 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
     }
     // Materializing A^T costs O(km) against the O(kmn) product and lets the
     // blocked kernel stream contiguous rows.
-    Tensor at({m, k});
+    Tensor at({m, k}, for_overwrite);
     transpose_into(a.data(), k, m, at.data());
-    Tensor c({m, n});
+    Tensor c({m, n}, for_overwrite);
     gemm_overwrite(at.data(), b.data(), c.data(), m, k, n);
     return c;
 }
@@ -81,9 +81,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
                                     shape_to_string(a.shape()) + " x " +
                                     shape_to_string(b.shape()));
     }
-    Tensor bt({k, n});
+    Tensor bt({k, n}, for_overwrite);
     transpose_into(b.data(), n, k, bt.data());
-    Tensor c({m, n});
+    Tensor c({m, n}, for_overwrite);
     gemm_overwrite(a.data(), bt.data(), c.data(), m, k, n);
     return c;
 }
@@ -91,7 +91,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 Tensor transpose(const Tensor& a) {
     require_rank2(a, "transpose");
     const std::size_t m = a.dim(0), n = a.dim(1);
-    Tensor t({n, m});
+    Tensor t({n, m}, for_overwrite);
     transpose_into(a.data(), m, n, t.data());
     return t;
 }
@@ -147,7 +147,7 @@ Tensor softmax_rows(const Tensor& logits) {
 Tensor log_softmax_rows(const Tensor& logits) {
     require_rank2(logits, "log_softmax_rows");
     const std::size_t n = logits.dim(0), f = logits.dim(1);
-    Tensor out({n, f});
+    Tensor out({n, f}, for_overwrite);
     for (std::size_t i = 0; i < n; ++i) {
         const float* row = logits.data() + i * f;
         float* dst = out.data() + i * f;

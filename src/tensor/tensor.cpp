@@ -1,6 +1,7 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -27,8 +28,15 @@ std::string shape_to_string(const std::vector<std::size_t>& shape) {
 Tensor::Tensor(std::vector<std::size_t> shape, float fill)
     : shape_(std::move(shape)), data_(shape_size(shape_), fill) {}
 
+Tensor::Tensor(std::vector<std::size_t> shape, ForOverwrite)
+    : shape_(std::move(shape)), data_(shape_size(shape_)) {
+    if constexpr (kPoisonForOverwrite) {
+        fill(std::bit_cast<float>(kForOverwritePoisonBits));
+    }
+}
+
 Tensor::Tensor(std::vector<std::size_t> shape, std::vector<float> values)
-    : shape_(std::move(shape)), data_(std::move(values)) {
+    : shape_(std::move(shape)), data_(values.begin(), values.end()) {
     if (data_.size() != shape_size(shape_)) {
         throw std::invalid_argument(
             "Tensor: value count " + std::to_string(data_.size()) +
@@ -49,7 +57,7 @@ Tensor Tensor::full(std::vector<std::size_t> shape, float value) {
 }
 
 Tensor Tensor::randn(std::vector<std::size_t> shape, Rng& rng, float stddev) {
-    Tensor t(std::move(shape));
+    Tensor t(std::move(shape), for_overwrite);
     for (float& v : t.data_) {
         v = static_cast<float>(rng.normal(0.0, stddev));
     }
@@ -58,7 +66,7 @@ Tensor Tensor::randn(std::vector<std::size_t> shape, Rng& rng, float stddev) {
 
 Tensor Tensor::uniform(std::vector<std::size_t> shape, Rng& rng, float lo,
                        float hi) {
-    Tensor t(std::move(shape));
+    Tensor t(std::move(shape), for_overwrite);
     for (float& v : t.data_) {
         v = static_cast<float>(rng.uniform(lo, hi));
     }
@@ -108,12 +116,6 @@ std::vector<std::size_t> resolve_shape(std::vector<std::size_t> new_shape,
 }
 
 }  // namespace
-
-Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {
-    Tensor out = *this;
-    out.reshape(std::move(new_shape));
-    return out;
-}
 
 void Tensor::reshape(std::vector<std::size_t> new_shape) {
     shape_ = resolve_shape(std::move(new_shape), size());

@@ -5,13 +5,63 @@
 // images are [N, C, H, W], fully-connected activations are [N, F].
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "utils/rng.hpp"
 
 namespace bayesft {
+
+/// Tag selecting Tensor's for-overwrite constructor (named after C++20's
+/// std::make_unique_for_overwrite): the elements start unwritten.
+struct ForOverwrite {
+    explicit ForOverwrite() = default;
+};
+inline constexpr ForOverwrite for_overwrite{};
+
+/// Bits every element of a for-overwrite tensor starts with in
+/// AddressSanitizer builds (kPoisonForOverwrite): a quiet NaN with a
+/// recognizable payload, so an element a kernel forgets to write shows up
+/// in bitwise tests instead of reading whatever the allocator handed back.
+/// Other builds leave the elements unwritten.
+inline constexpr std::uint32_t kForOverwritePoisonBits = 0x7FC0DEADU;
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kPoisonForOverwrite = true;
+#else
+inline constexpr bool kPoisonForOverwrite = false;
+#endif
+
+namespace detail {
+
+/// std::allocator whose value-less construct() default-initializes, so a
+/// vector sized through it leaves its floats unwritten; construct() with a
+/// value (fill, copy) writes as usual.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <class U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+    template <class U>
+    void construct(U* p) noexcept {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+}  // namespace detail
 
 /// N-dimensional row-major float tensor with value semantics.
 ///
@@ -25,6 +75,13 @@ public:
 
     /// Tensor of the given shape, filled with `fill`.
     explicit Tensor(std::vector<std::size_t> shape, float fill = 0.0F);
+
+    /// Tensor of the given shape whose elements start unwritten (poisoned
+    /// with kForOverwritePoisonBits under AddressSanitizer).  Only for
+    /// buffers the caller writes in full before anything reads them: it
+    /// skips the zero fill, a full pass over memory the caller is about to
+    /// overwrite anyway.
+    Tensor(std::vector<std::size_t> shape, ForOverwrite);
 
     /// Tensor of the given shape adopting `values` (size must match).
     Tensor(std::vector<std::size_t> shape, std::vector<float> values);
@@ -51,11 +108,8 @@ public:
     std::size_t size() const { return data_.size(); }
     bool empty() const { return data_.empty(); }
 
-    /// Returns a copy with a new shape of equal element count.
-    /// One extent may be 0 meaning "infer this dimension".
-    Tensor reshaped(std::vector<std::size_t> new_shape) const;
-
     /// In-place reshape (same element count; one extent may be 0 = infer).
+    /// Throws std::invalid_argument, leaving the shape, on a mismatch.
     void reshape(std::vector<std::size_t> new_shape);
 
     // -- Element access ----------------------------------------------------
@@ -127,7 +181,7 @@ private:
     void check_same_shape(const Tensor& other, const char* op) const;
 
     std::vector<std::size_t> shape_;
-    std::vector<float> data_;
+    std::vector<float, detail::DefaultInitAllocator<float>> data_;
 };
 
 /// Number of elements implied by a shape (product of extents; 1 for rank 0).

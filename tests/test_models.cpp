@@ -123,6 +123,11 @@ std::vector<ZooCase> zoo_cases() {
     return cases;
 }
 
+bool same_bits(const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 /// Every parameter gradient of `a` equals `b`'s, bit for bit.
 void expect_same_grads(nn::Module& a, nn::Module& b, const std::string& tag) {
     const auto pa = a.parameters();
@@ -191,17 +196,69 @@ TEST(Detector, BackwardParamsMatchesBackwardBitwise) {
     expect_same_grads(full.network(), params_only.network(), "detector");
 }
 
+/// Every zoo model takes its tensors by value: forward, backward and
+/// backward_params leave an lvalue argument as it was, and moving the
+/// argument in gives the bits copying it in gives, in training mode with
+/// every dropout site active and in eval mode.
+class ZooOwnership : public ::testing::TestWithParam<ZooCase> {};
+
+TEST_P(ZooOwnership, MovedArgumentsGiveCopiedArgumentsBits) {
+    const ZooCase& zoo_case = GetParam();
+    Rng rng_copy(21);
+    Rng rng_move(21);
+    ModelHandle by_copy = zoo_case.make(rng_copy);
+    ModelHandle by_move = zoo_case.make(rng_move);
+    const std::vector<double> rates(by_copy.dropout_sites.size(), 0.25);
+    by_copy.set_dropout_rates(rates);
+    by_move.set_dropout_rates(rates);
+    Rng data(22);
+    const Tensor x = Tensor::randn(zoo_case.input_shape, data, 0.5F);
+
+    Tensor input = x;
+    const Tensor logits = by_copy.net->forward(input);
+    EXPECT_TRUE(same_bits(input, x)) << "forward changed its lvalue";
+    EXPECT_TRUE(same_bits(by_move.net->forward(Tensor(x)), logits))
+        << "forward";
+    const std::vector<int> labels(zoo_case.input_shape[0], 1);
+    const Tensor g = nn::cross_entropy(logits, labels).grad;
+    Tensor grad = g;
+    const Tensor dx = by_copy.net->backward(grad);
+    EXPECT_TRUE(same_bits(grad, g)) << "backward changed its lvalue";
+    EXPECT_TRUE(same_bits(by_move.net->backward(Tensor(g)), dx))
+        << "backward";
+    expect_same_grads(*by_copy.net, *by_move.net, zoo_case.name);
+
+    by_copy.net->forward(input);
+    by_move.net->forward(Tensor(x));
+    by_copy.net->backward_params(grad);
+    EXPECT_TRUE(same_bits(grad, g)) << "backward_params changed its lvalue";
+    by_move.net->backward_params(Tensor(g));
+    expect_same_grads(*by_copy.net, *by_move.net,
+                      zoo_case.name + " backward_params");
+
+    by_copy.net->set_training(false);
+    by_move.net->set_training(false);
+    const Tensor eval_logits = by_copy.net->forward(input);
+    EXPECT_TRUE(same_bits(input, x)) << "eval forward changed its lvalue";
+    EXPECT_TRUE(same_bits(by_move.net->forward(Tensor(x)), eval_logits))
+        << "eval forward";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, ZooOwnership,
+                         ::testing::ValuesIn(zoo_cases()),
+                         [](const auto& info) { return info.param.name; });
+
 /// Hides a model's backward_params overrides: a training loop calling it
 /// runs the Module default, the full backward with the input gradient
 /// dropped.
 class FullBackward : public nn::Module {
 public:
     explicit FullBackward(nn::Module& inner) : inner_(inner) {}
-    Tensor forward(const Tensor& input) override {
-        return inner_.forward(input);
+    Tensor forward(Tensor input) override {
+        return inner_.forward(std::move(input));
     }
-    Tensor backward(const Tensor& grad_output) override {
-        return inner_.backward(grad_output);
+    Tensor backward(Tensor grad_output) override {
+        return inner_.backward(std::move(grad_output));
     }
     void collect_parameters(std::vector<nn::Parameter*>& out) override {
         inner_.collect_parameters(out);

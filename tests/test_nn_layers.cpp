@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -17,11 +23,16 @@
 #include "gradcheck.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
+#include "nn/dropout.hpp"
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
 #include "nn/norm.hpp"
 #include "nn/residual.hpp"
+#include "nn/stn.hpp"
+#include "simd/kernels.hpp"
+#include "simd_tiers.hpp"
 #include "tensor/ops.hpp"
+#include "utils/parallel.hpp"
 
 namespace bayesft::nn {
 namespace {
@@ -165,6 +176,140 @@ INSTANTIATE_TEST_SUITE_P(AllLayers, LayerGradCheck,
                          [](const auto& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------
+// Ownership: forward, backward and backward_params take their tensor by
+// value.  An lvalue argument is copied and left as it was; a moved-in
+// argument may be cached, overwritten in place or returned, and must give
+// the same bits as the copy.
+// ---------------------------------------------------------------------
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+void zero_grads(Module& m) {
+    for (Parameter* p : m.parameters()) p->grad.fill(0.0F);
+}
+
+void expect_same_param_grads(Module& a, Module& b, const std::string& tag) {
+    const auto pa = a.parameters();
+    const auto pb = b.parameters();
+    ASSERT_EQ(pa.size(), pb.size()) << tag;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        EXPECT_TRUE(same_bits(pa[i]->grad, pb[i]->grad))
+            << tag << ": parameter " << i << " (" << pa[i]->name << ")";
+    }
+}
+
+/// The layer kinds of layer_cases() plus the ones with no finite-difference
+/// check: the dropouts (in place when active, pass-through at rate 0),
+/// Identity, a spatial transformer and pooling windows with gaps.
+std::vector<LayerCase> ownership_cases() {
+    std::vector<LayerCase> cases = layer_cases();
+    cases.push_back({"Dropout",
+                     [](Rng&) { return std::make_unique<Dropout>(0.4, 17); },
+                     {4, 9}});
+    cases.push_back({"DropoutRateZero",
+                     [](Rng&) { return std::make_unique<Dropout>(0.0, 17); },
+                     {4, 9}});
+    cases.push_back(
+        {"AlphaDropout",
+         [](Rng&) { return std::make_unique<AlphaDropout>(0.3, 19); },
+         {4, 9}});
+    cases.push_back({"Identity",
+                     [](Rng&) { return std::make_unique<Identity>(); },
+                     {3, 4}});
+    cases.push_back({"AvgPool2dGaps",
+                     [](Rng&) { return std::make_unique<AvgPool2d>(2, 3); },
+                     {2, 2, 9, 10}});
+    cases.push_back(
+        {"SpatialTransformer",
+         [](Rng& rng) {
+             auto loc = std::make_unique<Sequential>();
+             loc->emplace<Flatten>();
+             loc->emplace<Linear>(2 * 5 * 5, 6, rng);
+             return std::make_unique<SpatialTransformer>(std::move(loc));
+         },
+         {2, 2, 5, 5}});
+    return cases;
+}
+
+class LayerOwnership : public ::testing::TestWithParam<LayerCase> {};
+
+TEST_P(LayerOwnership, MovedArgumentsGiveCopiedArgumentsBits) {
+    const LayerCase& layer_case = GetParam();
+    Rng rng_copy(31);
+    Rng rng_move(31);
+    const auto by_copy = layer_case.make(rng_copy);
+    const auto by_move = layer_case.make(rng_move);
+    Rng data(32);
+    const Tensor x = Tensor::randn(layer_case.input_shape, data);
+
+    // Training mode: forward, backward, then forward and backward_params.
+    Tensor input = x;
+    const Tensor y = by_copy->forward(input);
+    EXPECT_TRUE(same_bits(input, x)) << "forward changed its lvalue";
+    EXPECT_TRUE(same_bits(by_move->forward(Tensor(x)), y)) << "forward";
+    const Tensor g = Tensor::randn(y.shape(), data);
+    Tensor grad = g;
+    zero_grads(*by_copy);
+    zero_grads(*by_move);
+    const Tensor dx = by_copy->backward(grad);
+    EXPECT_TRUE(same_bits(grad, g)) << "backward changed its lvalue";
+    EXPECT_TRUE(same_bits(by_move->backward(Tensor(g)), dx)) << "backward";
+    expect_same_param_grads(*by_copy, *by_move, "backward");
+
+    by_copy->forward(input);
+    by_move->forward(Tensor(x));
+    by_copy->backward_params(grad);
+    EXPECT_TRUE(same_bits(grad, g)) << "backward_params changed its lvalue";
+    by_move->backward_params(Tensor(g));
+    expect_same_param_grads(*by_copy, *by_move, "backward_params");
+
+    // Eval mode: forward only.
+    by_copy->set_training(false);
+    by_move->set_training(false);
+    const Tensor y_eval = by_copy->forward(input);
+    EXPECT_TRUE(same_bits(input, x)) << "eval forward changed its lvalue";
+    EXPECT_TRUE(same_bits(by_move->forward(Tensor(x)), y_eval))
+        << "eval forward";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayers, LayerOwnership,
+                         ::testing::ValuesIn(ownership_cases()),
+                         [](const auto& info) { return info.param.name; });
+
+/// An eval-mode Activation forward overwrites its argument in place; it
+/// must write the bits the training-mode forward writes into a fresh
+/// output, on every tier, including at -0, infinities and NaN.
+TEST(Activations, InPlaceEvalForwardMatchesTrainingForwardBitwise) {
+    Rng rng(13);
+    Tensor x = Tensor::randn({5, 13}, rng, 3.0F);
+    const float specials[] = {0.0F,  -0.0F, 30.0F, -30.0F,
+                              1e-30F, -1e-30F,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+    for (std::size_t i = 0; i < std::size(specials); ++i) x[i * 7] = specials[i];
+    for (const simd::Tier tier : bayesft::testing::runnable_tiers()) {
+        const simd::TierOverride force(tier);
+        for (const char* kind :
+             {"relu", "leaky_relu", "elu", "gelu", "sigmoid", "tanh"}) {
+            const std::string tag =
+                std::string(kind) + " on " + simd::tier_name(tier);
+            const std::unique_ptr<Module> act = make_activation(kind);
+            const Tensor train_out = act->forward(x);
+            act->set_training(false);
+            Tensor in_place = x;
+            const float* storage = in_place.data();
+            const Tensor eval_out = act->forward(std::move(in_place));
+            EXPECT_EQ(eval_out.data(), storage) << tag << ": not in place";
+            EXPECT_TRUE(same_bits(eval_out, train_out)) << tag;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Targeted behaviour tests.
 // ---------------------------------------------------------------------
 
@@ -290,6 +435,187 @@ TEST(Conv2d, BackwardReusingForwardUnfoldIsBitIdentical) {
     }
 }
 
+/// Conv2d's forward and gradients by naive per-element loops, each
+/// element's arithmetic spelled out:
+/// - y = (fma chain over the patch (c, ky, kx) from +0, padding taps
+///   reading +0) + b;
+/// - dW starts from the preloaded gradient and adds g * unfold as an fma
+///   chain over the positions (sample, oy, ox) in order;
+/// - db adds float(double sum of g over the positions) to the preloaded
+///   bias gradient;
+/// - dX: each unfold entry's gradient is an fma chain over the output
+///   channels from +0, scattered into a +0 image gradient row by row
+///   (c, ky, kx), so every element takes its additions in (ky, kx) order.
+struct NaiveConv {
+    Tensor y, dw, db, dx;
+};
+
+NaiveConv naive_conv(const Tensor& w, const Tensor& b, const Tensor& x,
+                     const Tensor& g, const Tensor& dw0, const Tensor& db0,
+                     std::size_t k, std::size_t stride, std::size_t pad) {
+    const std::size_t n = x.dim(0), h = x.dim(2), wd = x.dim(3);
+    const std::size_t oc = w.dim(0), patch = w.dim(1);
+    const std::size_t oh = (h + 2 * pad - k) / stride + 1;
+    const std::size_t ow = (wd + 2 * pad - k) / stride + 1;
+    // Image index of tap (ky, kx) at position (oy, ox), or -1 in padding.
+    const auto tap = [&](std::size_t o, std::size_t kk,
+                         std::size_t extent) -> std::ptrdiff_t {
+        const auto i = static_cast<std::ptrdiff_t>(o * stride + kk) -
+                       static_cast<std::ptrdiff_t>(pad);
+        return i >= 0 && i < static_cast<std::ptrdiff_t>(extent) ? i : -1;
+    };
+    const auto unfold = [&](std::size_t s, std::size_t p, std::size_t oy,
+                            std::size_t ox) {
+        const std::size_t ci = p / (k * k), ky = p / k % k, kx = p % k;
+        const std::ptrdiff_t iy = tap(oy, ky, h), ix = tap(ox, kx, wd);
+        return iy < 0 || ix < 0
+                   ? 0.0F
+                   : x(s, ci, static_cast<std::size_t>(iy),
+                       static_cast<std::size_t>(ix));
+    };
+    NaiveConv r{Tensor({n, oc, oh, ow}), dw0, db0, Tensor(x.shape())};
+    for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t o = 0; o < oc; ++o) {
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    float acc = 0.0F;
+                    for (std::size_t p = 0; p < patch; ++p) {
+                        acc = std::fma(w(o, p), unfold(s, p, oy, ox), acc);
+                    }
+                    r.y(s, o, oy, ox) = acc + b[o];
+                }
+            }
+        }
+    }
+    for (std::size_t o = 0; o < oc; ++o) {
+        for (std::size_t p = 0; p < patch; ++p) {
+            float acc = dw0(o, p);
+            for (std::size_t s = 0; s < n; ++s) {
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        acc = std::fma(g(s, o, oy, ox), unfold(s, p, oy, ox),
+                                       acc);
+                    }
+                }
+            }
+            r.dw(o, p) = acc;
+        }
+        double sum = 0.0;
+        for (std::size_t s = 0; s < n; ++s) {
+            for (std::size_t q = 0; q < oh * ow; ++q) {
+                sum += g[(s * oc + o) * oh * ow + q];
+            }
+        }
+        r.db[o] = db0[o] + static_cast<float>(sum);
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t p = 0; p < patch; ++p) {
+            const std::size_t ci = p / (k * k), ky = p / k % k, kx = p % k;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    const std::ptrdiff_t iy = tap(oy, ky, h);
+                    const std::ptrdiff_t ix = tap(ox, kx, wd);
+                    if (iy < 0 || ix < 0) continue;
+                    float d = 0.0F;
+                    for (std::size_t o = 0; o < oc; ++o) {
+                        d = std::fma(w(o, p), g(s, o, oy, ox), d);
+                    }
+                    r.dx(s, ci, static_cast<std::size_t>(iy),
+                         static_cast<std::size_t>(ix)) += d;
+                }
+            }
+        }
+    }
+    return r;
+}
+
+/// Runs Conv2d at LeNet's two layers (batch 32) and a stride-2 layer on
+/// every runnable tier against naive_conv; returns one line per mismatch.
+std::string conv_naive_mismatches() {
+    struct Case {
+        std::size_t in_c, out_c, kernel, stride, pad, size, batch;
+    };
+    const Case cases[] = {{1, 6, 5, 1, 2, 16, 32},
+                          {6, 16, 3, 1, 1, 8, 32},
+                          {3, 5, 3, 2, 1, 9, 6}};
+    std::string failures;
+    const auto check = [&](bool ok, const std::string& what) {
+        if (!ok) failures += what + "\n";
+    };
+    for (const simd::Tier tier : bayesft::testing::runnable_tiers()) {
+        const simd::TierOverride force(tier);
+        for (const Case& c : cases) {
+            Rng rng(60 + c.kernel + c.stride);
+            Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, rng);
+            conv.bias().value = Tensor::randn({c.out_c}, rng);
+            const Tensor x =
+                Tensor::randn({c.batch, c.in_c, c.size, c.size}, rng);
+            const Tensor dw0 = Tensor::randn(conv.weight().value.shape(), rng);
+            const Tensor db0 = Tensor::randn({c.out_c}, rng);
+            conv.weight().grad = dw0;
+            conv.bias().grad = db0;
+            const Tensor y = conv.forward(x);
+            const Tensor g = Tensor::randn(y.shape(), rng);
+            const NaiveConv want =
+                naive_conv(conv.weight().value, conv.bias().value, x, g, dw0,
+                           db0, c.kernel, c.stride, c.pad);
+            const std::string tag = conv.name() + " on " +
+                                    simd::tier_name(tier) + ", threads " +
+                                    std::to_string(parallel_thread_count());
+            const Tensor dx = conv.backward(g);
+            check(same_bits(y, want.y), tag + ": forward");
+            check(same_bits(conv.weight().grad, want.dw), tag + ": dW");
+            check(same_bits(conv.bias().grad, want.db), tag + ": db");
+            check(same_bits(dx, want.dx), tag + ": dX");
+            // The training step's entry point: the same dW and db.
+            conv.weight().grad = dw0;
+            conv.bias().grad = db0;
+            conv.forward(x);
+            conv.backward_params(g);
+            check(same_bits(conv.weight().grad, want.dw),
+                  tag + ": backward_params dW");
+            check(same_bits(conv.bias().grad, want.db),
+                  tag + ": backward_params db");
+        }
+    }
+    return failures;
+}
+
+#ifdef __linux__
+/// Child mode of the test below: runs the comparison at the pool width
+/// this process started with.
+TEST(Conv2dNaiveChild, AtThisPoolWidth) {
+    if (std::getenv("BAYESFT_CONV_NAIVE_CHILD") == nullptr) {
+        GTEST_SKIP() << "parent-driven child mode only";
+    }
+    const std::string failures = conv_naive_mismatches();
+    EXPECT_TRUE(failures.empty()) << failures;
+}
+
+/// The pool width is fixed per process (BAYESFT_NUM_THREADS is read once),
+/// so the 1- and 4-thread runs are child processes of this binary.
+TEST(Conv2d, MatchesNaiveLoopsBitwiseOnEveryTierAtOneAndFourThreads) {
+    const std::string self =
+        std::filesystem::read_symlink("/proc/self/exe").string();
+    for (const int width : {1, 4}) {
+        const std::string log = ::testing::TempDir() + "conv_naive_t" +
+                                std::to_string(width) + ".log";
+        const std::string command =
+            "BAYESFT_NUM_THREADS=" + std::to_string(width) +
+            " BAYESFT_CONV_NAIVE_CHILD=1 '" + self +
+            "' --gtest_filter=Conv2dNaiveChild.AtThisPoolWidth >'" + log +
+            "' 2>&1";
+        const int status = std::system(command.c_str());
+        std::ifstream file(log);
+        const std::string output((std::istreambuf_iterator<char>(file)),
+                                 std::istreambuf_iterator<char>());
+        EXPECT_EQ(status, 0) << width << " threads:\n" << output;
+        EXPECT_NE(output.find("[  PASSED  ] 1 test"), std::string::npos)
+            << width << " threads:\n" << output;
+    }
+}
+#endif  // __linux__
+
 TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
     MaxPool2d pool(2);
     Tensor input({1, 1, 2, 2}, std::vector<float>{1, 5, 3, 2});
@@ -308,6 +634,9 @@ TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
 /// entries, whose +0 start is visible in the bits.  The 2x2, stride-2
 /// window runs its own fixed-extent loops; at odd H or W its last input
 /// row or column lies in no window, and its gradient must stay +0.
+/// Windows that do not overlap write each gradient element once instead
+/// of adding to a zero fill, and windows narrower than their stride leave
+/// gaps whose gradient is +0 as well.
 TEST(AvgPool2d, MatchesNaiveWindowLoopsBitwise) {
     struct Case {
         std::size_t kernel, stride, h, w;
@@ -316,7 +645,8 @@ TEST(AvgPool2d, MatchesNaiveWindowLoopsBitwise) {
                           {3, 2, 7, 6},   {2, 1, 4, 9},  {1, 1, 3, 3},
                           {5, 3, 11, 8},  {3, 3, 3, 3},  {2, 2, 8, 8},
                           {2, 2, 7, 9},   {2, 2, 9, 6},  {2, 2, 6, 11},
-                          {2, 2, 3, 2},   {2, 2, 2, 2}};
+                          {2, 2, 3, 2},   {2, 2, 2, 2},  {2, 3, 9, 10},
+                          {1, 2, 5, 6},   {2, 3, 8, 8}};
     const auto same = [](const Tensor& a, const Tensor& b) {
         return a.shape() == b.shape() &&
                std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;

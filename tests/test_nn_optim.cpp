@@ -24,8 +24,8 @@ class ScalarParam : public Module {
 public:
     explicit ScalarParam(float init)
         : param_("x", Tensor({1}, {init})) {}
-    Tensor forward(const Tensor&) override { return param_.value; }
-    Tensor backward(const Tensor& g) override {
+    Tensor forward(Tensor) override { return param_.value; }
+    Tensor backward(Tensor g) override {
         param_.grad.add_(g);
         return g;
     }
@@ -152,11 +152,11 @@ class BatchSizeProbe : public Module {
 public:
     explicit BatchSizeProbe(std::vector<std::size_t>* sizes)
         : sizes_(sizes) {}
-    Tensor forward(const Tensor& input) override {
+    Tensor forward(Tensor input) override {
         sizes_->push_back(input.dim(0));
         return input;
     }
-    Tensor backward(const Tensor& g) override { return g; }
+    Tensor backward(Tensor g) override { return g; }
     std::string name() const override { return "BatchSizeProbe"; }
 
 private:

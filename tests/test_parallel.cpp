@@ -151,8 +151,8 @@ TEST(ModuleClone, ReplicaMatchesOriginalForward) {
 TEST(ModuleClone, UnreplicableChildPoisonsContainer) {
     class Opaque : public nn::Module {
     public:
-        Tensor forward(const Tensor& input) override { return input; }
-        Tensor backward(const Tensor& g) override { return g; }
+        Tensor forward(Tensor input) override { return input; }
+        Tensor backward(Tensor g) override { return g; }
         std::string name() const override { return "Opaque"; }
     };
     nn::Sequential model;

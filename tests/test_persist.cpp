@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -495,6 +497,41 @@ TEST(RunStoreTest, ValidateOutputFileGivesClearErrors) {
     EXPECT_EQ("payload", text);
     fs::remove_all(dir);
     fs::remove(ok);
+}
+
+/// format_hex writes the bytes snprintf's "%016llx" writes, for the
+/// extremes of the range and for the bit patterns of -0.0 and a NaN, the
+/// doubles a checkpoint or run-store line must carry bit-exactly; and
+/// parse_hex / parse_bits take them back.
+TEST(RunStoreTest, FormatHexMatchesSnprintf) {
+    const double negative_zero = -0.0;
+    const double nan = std::nan("");
+    std::uint64_t negative_zero_bits = 0;
+    std::uint64_t nan_bits = 0;
+    std::memcpy(&negative_zero_bits, &negative_zero, sizeof negative_zero);
+    std::memcpy(&nan_bits, &nan, sizeof nan);
+    const std::uint64_t values[] = {0,
+                                    1,
+                                    std::uint64_t{1} << 63,
+                                    ~std::uint64_t{0},
+                                    negative_zero_bits,
+                                    nan_bits,
+                                    0x0123456789abcdefULL};
+    for (const std::uint64_t v : values) {
+        char want[24];
+        std::snprintf(want, sizeof want, "%016llx",
+                      static_cast<unsigned long long>(v));
+        EXPECT_EQ(format_hex(v), std::string(want)) << want;
+        std::uint64_t back = 0;
+        EXPECT_TRUE(parse_hex(format_hex(v), back)) << want;
+        EXPECT_EQ(back, v) << want;
+    }
+    EXPECT_EQ(format_bits(negative_zero), "8000000000000000");
+    double back = 0.0;
+    ASSERT_TRUE(parse_bits(format_bits(nan), back));
+    std::uint64_t back_bits = 0;
+    std::memcpy(&back_bits, &back, sizeof back);
+    EXPECT_EQ(back_bits, nan_bits);
 }
 
 // ------------------------------------------- kill/resume: bayesft ----
