@@ -2,19 +2,20 @@
 //
 // Trains a batch-normalized MLP (the architecture the paper's Fig. 2(b)
 // warns about), ranks every parameter tensor by the accuracy it destroys
-// when drifted alone, and round-trips the trained weights through the
-// checkpoint format (the train-offline / deploy-on-ReRAM workflow).
+// when drifted alone, and round-trips the trained model through a model
+// file (the train-offline / deploy-on-ReRAM workflow).  Exits 1 when the
+// restored model's test accuracy differs from the saved model's.
 //
-// Build & run:  ./build/examples/layer_sensitivity
+// Build & run:  ./build/example_layer_sensitivity
 
 #include <cstdio>
 #include <iostream>
 
+#include "core/persist.hpp"
 #include "data/digits.hpp"
 #include "fault/drift.hpp"
 #include "fault/sensitivity.hpp"
 #include "models/zoo.hpp"
-#include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 #include "utils/logging.hpp"
 #include "utils/table.hpp"
@@ -42,12 +43,9 @@ int main() {
     train_config.epochs = 10;
     nn::train_classifier(*model.net, parts.train.images, parts.train.labels,
                          train_config, rng);
-    std::cout << "clean accuracy: "
-              << format_double(
-                     nn::evaluate_accuracy(*model.net, parts.test.images,
-                                           parts.test.labels) *
-                         100.0,
-                     1)
+    const double accuracy = nn::evaluate_accuracy(
+        *model.net, parts.test.images, parts.test.labels);
+    std::cout << "clean accuracy: " << format_double(accuracy * 100.0, 1)
               << "%\n\n";
 
     // Rank parameters by accuracy destroyed when drifted in isolation.
@@ -70,16 +68,20 @@ int main() {
     std::cout << "Note the norm affine parameters: few scalars, outsized "
                  "damage (paper Fig. 2(b)).\n\n";
 
-    // Checkpoint round trip: train offline, deploy later.
-    const std::string path = "/tmp/bayesft_sensitivity_example.ckpt";
-    nn::save_parameters(*model.net, path);
+    // Model file round trip: train offline, deploy later.
+    const std::string path = "bayesft_sensitivity_example.model";
+    core::save_model(*model.net, path);
     models::ModelHandle restored = models::make_mlp(options, rng);
-    nn::load_parameters(*restored.net, path);
+    core::load_model(*restored.net, path);
     const double restored_accuracy = nn::evaluate_accuracy(
         *restored.net, parts.test.images, parts.test.labels);
-    std::cout << "checkpoint round trip: restored model accuracy "
+    std::cout << "model file round trip: restored model accuracy "
               << format_double(restored_accuracy * 100.0, 1) << "% (saved to "
               << path << ")\n";
     std::remove(path.c_str());
+    if (restored_accuracy != accuracy) {
+        std::cerr << "restored accuracy differs from the saved model's\n";
+        return 1;
+    }
     return 0;
 }

@@ -1,9 +1,11 @@
 #include "core/experiment.hpp"
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
-#include "core/method.hpp"
 #include "fault/evaluator.hpp"
+#include "utils/logging.hpp"
 
 namespace bayesft::core {
 
@@ -78,30 +80,80 @@ RegistryResult run_classification_experiment(
     result.x_label = "sigma";
     result.xs = config.sigmas;
 
-    for (const auto& method : make_methods(config.methods)) {
-        Rng rng(config.seed + method->seed_offset());
-        const TrainedMethod trained = method->train(
-            factory, train_set, test_set, num_classes, config, rng);
-        if (!trained.trials.empty()) {
-            result.trials =
-                to_trial_records(trained.trials, trained.trial_points);
-            result.resumed_trials = trained.resumed_trials;
+    // The paper's column order.  Method i draws from its own stream,
+    // seed + i + 1, so disabling one method does not reshuffle the others'.
+    const std::pair<const char*, bool> methods[] = {
+        {"ERM", config.methods.erm},
+        {"FTNA", config.methods.ftna},
+        {"ReRAM-V", config.methods.reram_v},
+        {"AWP", config.methods.awp},
+        {"BayesFT", config.methods.bayesft}};
+    for (std::size_t i = 0; i < std::size(methods); ++i) {
+        if (!methods[i].second) continue;
+        const std::string name = methods[i].first;
+        Rng rng(config.seed + i + 1);
+        SweepCurve curve{name, nullptr, accuracy_on(test_set)};
+        models::ModelHandle model;
+        std::unique_ptr<FtnaClassifier> ftna;
+        if (name == "FTNA") {
+            model = factory(config.ftna_code_bits, rng);
+            log_info() << "[experiment] training FTNA / " << model.name;
+            ftna = std::make_unique<FtnaClassifier>(
+                std::move(model), num_classes, config.ftna_code_bits, rng);
+            ftna->train(train_set, config.train, rng);
+            curve.net = &ftna->network();
+            curve.metric = [&ftna, &test_set](nn::Module&) {
+                return ftna->evaluate_accuracy(test_set.images,
+                                               test_set.labels);
+            };
+            // The metric decodes through the wrapper's own network, not
+            // the module it is handed, so the sweep must stay serial.
+            curve.threads = 1;
+        } else {
+            model = factory(num_classes, rng);
+            if (name == "BayesFT") {
+                log_info() << "[experiment] running BayesFT search / "
+                           << model.name;
+                // Hold out part of the training set for the search's utility.
+                Rng split_rng(config.seed + 6);
+                const data::TrainTestSplit inner =
+                    data::split(train_set, 0.25, split_rng);
+                const BayesFTResult search = bayesft_search(
+                    model, inner.train, inner.test, config.bayesft, rng);
+                result.trials = to_trial_records(search.trials,
+                                                 search.trial_points);
+                result.resumed_trials = search.resumed_trials;
+                if (!search.completed) {
+                    // The search checkpointed out mid-run (stop_after): its
+                    // model is half-searched state, so skip the sweep — the
+                    // caller resumes with the same checkpoint path to
+                    // finish the figure.
+                    result.search_completed = false;
+                    break;
+                }
+                result.bayesft_alpha = search.best_alpha;
+            } else {
+                log_info() << "[experiment] training " << name << " / "
+                           << model.name;
+                if (name == "ERM") {
+                    train_erm(model, train_set, config.train, rng);
+                } else if (name == "ReRAM-V") {
+                    ReRamVConfig reram = config.reram_v;
+                    reram.pretrain = config.train;
+                    train_reram_v(model, train_set, reram, rng);
+                } else {
+                    AwpConfig awp = config.awp;
+                    awp.train = config.train;
+                    train_awp(model, train_set, awp, rng);
+                }
+            }
+            // Taken after training: a batched search installs the winning
+            // replica's network in place of the one it was handed.
+            curve.net = model.net.get();
         }
-        if (!trained.search_completed) {
-            // The search checkpointed out mid-run (stop_after): its model
-            // is half-searched state, so skip the sweep — the caller
-            // resumes with the same checkpoint path to finish the figure.
-            result.search_completed = false;
-            break;
-        }
-        const std::vector<NamedCurve> curve = sweep_levels(
-            {{method->name(), trained.net, trained.metric, lognormal_drift,
-              nn::InferenceMode::kFloat32, trained.sweep_threads}},
-            config.sigmas, config.eval_samples, rng);
-        result.curves.push_back(curve.front());
-        if (!trained.best_alpha.empty()) {
-            result.bayesft_alpha = trained.best_alpha;
-        }
+        result.curves.push_back(
+            sweep_levels({curve}, config.sigmas, config.eval_samples, rng)
+                .front());
     }
     return result;
 }

@@ -24,6 +24,8 @@ namespace bayesft::core {
 namespace {
 
 constexpr const char* kMagic = "bayesft-checkpoint";
+constexpr const char* kModelMagic = "bayesft-model";
+constexpr std::uint64_t kModelFileVersion = 1;
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
     throw std::runtime_error("checkpoint: " + what + " (" + path + ")");
@@ -51,6 +53,61 @@ void write_points(std::ostream& out, const char* key,
         }
         out << '\n';
     }
+}
+
+/// The model block both file kinds carry: "model <count> <digest>", the
+/// snapshot_model() words as 8 hex digits, 16 to a line, then
+/// "model_rngs <count>" and one "mrng" record per mask generator.
+void write_model_block(std::ostream& out,
+                       const std::vector<std::uint32_t>& bits,
+                       std::uint64_t digest,
+                       const std::vector<RngState>& rngs) {
+    out << "model " << bits.size() << ' ' << format_hex(digest) << '\n';
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        char buffer[9];
+        std::snprintf(buffer, sizeof(buffer), "%08x", bits[i]);
+        out << buffer << ((i % 16 == 15) ? '\n' : ' ');
+    }
+    if (bits.size() % 16 != 0) out << '\n';
+    out << "model_rngs " << rngs.size() << '\n';
+    for (const RngState& state : rngs) write_rng(out, "mrng", state);
+}
+
+/// A model file's check record: folds the words and mask-generator states
+/// of its model block, so a flipped hex digit is refused, not loaded.
+std::uint64_t model_file_check(const std::vector<std::uint32_t>& bits,
+                               const std::vector<RngState>& rngs) {
+    std::uint64_t key = mix_key(0, std::string_view("model-file"));
+    for (const std::uint32_t word : bits) key = mix_key(key, word);
+    for (const RngState& state : rngs) key = mix_rng_state(key, state);
+    return key;
+}
+
+/// Writes `path` atomically: `body` fills "<path>.tmp", which gets the end
+/// marker, is flushed and fsynced, and is renamed into place.
+void write_file_atomically(const std::string& path,
+                           const std::function<void(std::ostream&)>& body) {
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp);
+        if (!out) fail("cannot open for writing", tmp);
+        body(out);
+        out << "end\n";
+        // Flush before checking: without it a failed final flush (disk
+        // full) would pass the check, and the rename below would install
+        // a truncated file over the previous good one.
+        out.flush();
+        if (!out) fail("write failed", tmp);
+    }
+    // fsync before the rename: without it a power loss shortly after the
+    // rename can install a zero-length tmp over the previous good file
+    // (rename is atomic against crashes of this process, but not against
+    // losing the unflushed tmp data).
+    fsync_file(tmp);
+    std::error_code error;
+    std::filesystem::rename(tmp, path, error);
+    if (error) fail("rename failed: " + error.message(), path);
+    fsync_parent_dir(path);
 }
 
 /// Line-oriented reader that tracks the path for error messages and
@@ -147,6 +204,45 @@ public:
         return state;
     }
 
+    /// The "<magic> <version>" first line; returns the version.
+    std::uint64_t version(const char* magic) {
+        return number(record(magic, 1)[1]);
+    }
+
+    /// A write_model_block block.  Like points(), it sizes nothing by a
+    /// declared count: a corrupt count costs no more memory than the file
+    /// holds.
+    void model_block(std::vector<std::uint32_t>& bits, std::uint64_t& digest,
+                     std::vector<RngState>& rngs) {
+        const std::vector<std::string> header = record("model", 2);
+        const std::uint64_t count = number(header[1]);
+        if (count > (1ULL << 26)) fail("implausible model size", path_);
+        digest = hex(header[2]);
+        bits.clear();
+        while (bits.size() < count) {
+            std::istringstream tokens(line());
+            std::string token;
+            while (tokens >> token) {
+                // Exactly the 8 hex digits the writer emits, and no more
+                // words than the count: a longer token (e.g. two words
+                // fused by a lost separator) or a surplus word must reject
+                // the file, not load shifted or truncated weights.
+                if (token.size() != 8 || bits.size() == count) {
+                    fail("malformed model word '" + token + "'", path_);
+                }
+                bits.push_back(static_cast<std::uint32_t>(hex(token)));
+            }
+        }
+        const std::uint64_t states = number(value("model_rngs"));
+        if (states > (1ULL << 20)) fail("implausible model_rngs size", path_);
+        rngs.clear();
+        for (std::uint64_t i = 0; i < states; ++i) rngs.push_back(rng("mrng"));
+    }
+
+    void end() {
+        if (line() != "end") fail("missing end marker", path_);
+    }
+
     void points(const char* key, std::vector<std::vector<double>>& rows,
                 std::vector<double>* values) {
         const std::vector<std::string> header = record(key, 2);
@@ -156,18 +252,21 @@ public:
             count * dims > (1ULL << 24)) {
             fail("implausible point-block size", path_);
         }
-        rows.assign(count, std::vector<double>(dims));
-        if (values != nullptr) values->assign(count, 0.0);
+        // Rows grow as they are read, so a corrupt count costs no more
+        // memory than the file holds.
+        rows.clear();
+        if (values != nullptr) values->clear();
         for (std::uint64_t r = 0; r < count; ++r) {
             std::istringstream tokens(line());
             std::string token;
+            std::vector<double>& row = rows.emplace_back();
             for (std::uint64_t d = 0; d < dims; ++d) {
                 if (!(tokens >> token)) fail("truncated point row", path_);
-                rows[r][d] = bits(token);
+                row.push_back(bits(token));
             }
             if (values != nullptr) {
                 if (!(tokens >> token)) fail("truncated point row", path_);
-                (*values)[r] = bits(token);
+                values->push_back(bits(token));
             }
         }
     }
@@ -189,10 +288,7 @@ std::string build_stamp() {
 
 void save_checkpoint(const SearchCheckpoint& checkpoint,
                      const std::string& path) {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp);
-        if (!out) fail("cannot open for writing", tmp);
+    write_file_atomically(path, [&](std::ostream& out) {
         out << kMagic << ' ' << SearchCheckpoint::kVersion << '\n';
         out << "run_id " << checkpoint.run_id << '\n';
         out << "build " << checkpoint.build << '\n';
@@ -239,35 +335,9 @@ void save_checkpoint(const SearchCheckpoint& checkpoint,
             }
             write_points(out, "cache", xs, &ys);
         }
-        out << "model " << checkpoint.model_bits.size() << ' '
-            << format_hex(checkpoint.model_digest) << '\n';
-        for (std::size_t i = 0; i < checkpoint.model_bits.size(); ++i) {
-            char buffer[9];
-            std::snprintf(buffer, sizeof(buffer), "%08x",
-                          checkpoint.model_bits[i]);
-            out << buffer << ((i % 16 == 15) ? '\n' : ' ');
-        }
-        if (checkpoint.model_bits.size() % 16 != 0) out << '\n';
-        out << "model_rngs " << checkpoint.model_rngs.size() << '\n';
-        for (const RngState& state : checkpoint.model_rngs) {
-            write_rng(out, "mrng", state);
-        }
-        out << "end\n";
-        // Flush before checking: without it a failed final flush (disk
-        // full) would pass the check, and the rename below would install
-        // a truncated file over the previous good checkpoint.
-        out.flush();
-        if (!out) fail("write failed", tmp);
-    }
-    // fsync before the rename: without it a power loss shortly after the
-    // rename can install a zero-length tmp over the previous good
-    // checkpoint (rename is atomic against crashes of this process, but
-    // not against losing the unflushed tmp data).
-    fsync_file(tmp);
-    std::error_code error;
-    std::filesystem::rename(tmp, path, error);
-    if (error) fail("rename failed: " + error.message(), path);
-    fsync_parent_dir(path);
+        write_model_block(out, checkpoint.model_bits, checkpoint.model_digest,
+                          checkpoint.model_rngs);
+    });
 }
 
 SearchCheckpoint load_checkpoint(const std::string& path) {
@@ -275,12 +345,12 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
     if (!in) fail("cannot open", path);
     Reader reader(in, path);
 
-    const std::vector<std::string> header = reader.record(kMagic, 1);
-    const std::uint64_t version = reader.number(header[1]);
+    const std::uint64_t version = reader.version(kMagic);
     if (version < SearchCheckpoint::kOldestReadableVersion ||
         version > SearchCheckpoint::kVersion) {
-        fail("unsupported format version " + header[1] + " (this build reads "
-                 + std::to_string(SearchCheckpoint::kOldestReadableVersion) +
+        fail("unsupported format version " + std::to_string(version) +
+                 " (this build reads " +
+                 std::to_string(SearchCheckpoint::kOldestReadableVersion) +
                  ".." + std::to_string(SearchCheckpoint::kVersion) + ")",
              path);
     }
@@ -344,43 +414,56 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
             checkpoint.cache.emplace_back(std::move(xs[i]), ys[i]);
         }
     }
-    {
-        const std::vector<std::string> model = reader.record("model", 2);
-        const std::uint64_t count = reader.number(model[1]);
-        if (count > (1ULL << 26)) fail("implausible model size", path);
-        checkpoint.model_digest = reader.hex(model[2]);
-        checkpoint.model_bits.reserve(count);
-        while (checkpoint.model_bits.size() < count) {
-            std::istringstream tokens(reader.line());
-            std::string token;
-            while (tokens >> token &&
-                   checkpoint.model_bits.size() < count) {
-                // Exactly the 8 hex digits the writer emits: a longer
-                // token (e.g. two words fused by a lost separator) must
-                // reject the file, not load truncated weights.
-                if (token.size() != 8) {
-                    fail("malformed model word '" + token + "'", path);
-                }
-                checkpoint.model_bits.push_back(
-                    static_cast<std::uint32_t>(reader.hex(token)));
-            }
-        }
-    }
-    {
-        const std::vector<std::string> header =
-            reader.record("model_rngs", 1);
-        const std::uint64_t count = reader.number(header[1]);
-        if (count > (1ULL << 20)) fail("implausible model_rngs size", path);
-        checkpoint.model_rngs.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            checkpoint.model_rngs.push_back(reader.rng("mrng"));
-        }
-    }
-    if (reader.line() != "end") fail("missing end marker", path);
+    reader.model_block(checkpoint.model_bits, checkpoint.model_digest,
+                       checkpoint.model_rngs);
+    reader.end();
     if (checkpoint.trials_done != checkpoint.bo.trials.size()) {
         fail("trial count disagrees with trials_done", path);
     }
     return checkpoint;
+}
+
+void save_model(nn::Module& model, const std::string& path) {
+    const std::vector<std::uint32_t> bits = snapshot_model(model);
+    const std::vector<RngState> rngs = snapshot_model_rngs(model);
+    const std::uint64_t digest = model_structure_digest(model);
+    write_file_atomically(path, [&](std::ostream& out) {
+        out << kModelMagic << ' ' << kModelFileVersion << '\n';
+        write_model_block(out, bits, digest, rngs);
+        out << "model_check " << format_hex(model_file_check(bits, rngs))
+            << '\n';
+    });
+}
+
+void load_model(nn::Module& model, const std::string& path) {
+    std::ifstream in(path);
+    if (!in) fail("cannot open", path);
+    Reader reader(in, path);
+    const std::uint64_t version = reader.version(kModelMagic);
+    if (version != kModelFileVersion) {
+        fail("unsupported model file version " + std::to_string(version),
+             path);
+    }
+    std::vector<std::uint32_t> bits;
+    std::uint64_t digest = 0;
+    std::vector<RngState> rngs;
+    reader.model_block(bits, digest, rngs);
+    if (reader.hex(reader.value("model_check")) !=
+        model_file_check(bits, rngs)) {
+        fail("model words or mask states differ from their check record",
+             path);
+    }
+    reader.end();
+    // restore_model sizes its payload before it writes, and the mask-state
+    // count is checked here, so a refused file leaves the model as it was.
+    if (digest != model_structure_digest(model) ||
+        rngs.size() != snapshot_model_rngs(model).size()) {
+        fail("model structure mismatch — the file was written for a "
+             "different architecture",
+             path);
+    }
+    restore_model(model, bits);
+    restore_model_rngs(model, rngs);
 }
 
 bool checkpoint_exists(const std::string& path) {
@@ -492,16 +575,6 @@ void validate_checkpoint(const SearchCheckpoint& checkpoint,
 
 namespace {
 
-/// Deterministic pre-order walk over the module tree (collect_children is
-/// the generic traversal every container supports).
-void visit_modules(nn::Module& node,
-                   const std::function<void(nn::Module&)>& fn) {
-    fn(node);
-    std::vector<nn::Module*> children;
-    node.collect_children(children);
-    for (nn::Module* child : children) visit_modules(*child, fn);
-}
-
 /// Get/set access to one layer's internal mask generator.
 struct MaskRngSite {
     std::function<RngState()> get;
@@ -515,7 +588,7 @@ struct MaskRngSite {
 /// fails; there is no second place to forget).
 std::vector<MaskRngSite> collect_mask_rng_sites(nn::Module& root) {
     std::vector<MaskRngSite> sites;
-    visit_modules(root, [&](nn::Module& node) {
+    nn::visit(root, [&](nn::Module& node) {
         if (auto* dropout = dynamic_cast<nn::Dropout*>(&node)) {
             sites.push_back(
                 {[dropout] { return dropout->mask_rng_state(); },
@@ -602,26 +675,30 @@ std::uint64_t model_structure_digest(nn::Module& model) {
 
 void restore_model(nn::Module& model,
                    const std::vector<std::uint32_t>& bits) {
+    const std::vector<nn::Parameter*> params = model.parameters();
+    const std::vector<Tensor*> buffers = model.buffers();
+    std::size_t words = 0;
+    for (const nn::Parameter* p : params) words += p->value.size();
+    for (const Tensor* buffer : buffers) words += buffer->size();
+    // Sized before anything is copied, so a rejected payload leaves the
+    // model as it was.
+    if (words != bits.size()) {
+        throw std::runtime_error("checkpoint: model payload holds " +
+                                 std::to_string(bits.size()) +
+                                 " words, the live model " +
+                                 std::to_string(words));
+    }
     std::size_t cursor = 0;
-    auto copy_into = [&](float* data, std::size_t count) {
-        if (cursor + count > bits.size()) {
-            throw std::runtime_error(
-                "checkpoint: model payload shorter than the live model");
+    const auto copy_into = [&](float* data, std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i, ++cursor) {
+            std::memcpy(&data[i], &bits[cursor], sizeof(float));
         }
-        for (std::size_t i = 0; i < count; ++i) {
-            std::memcpy(&data[i], &bits[cursor + i], sizeof(float));
-        }
-        cursor += count;
     };
-    for (nn::Parameter* p : model.parameters()) {
+    for (nn::Parameter* p : params) {
         copy_into(p->value.data(), p->value.size());
     }
-    for (Tensor* buffer : model.buffers()) {
+    for (Tensor* buffer : buffers) {
         copy_into(buffer->data(), buffer->size());
-    }
-    if (cursor != bits.size()) {
-        throw std::runtime_error(
-            "checkpoint: model payload longer than the live model");
     }
 }
 

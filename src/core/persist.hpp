@@ -104,6 +104,20 @@ void save_checkpoint(const SearchCheckpoint& checkpoint,
 /// malformed/truncated file.
 SearchCheckpoint load_checkpoint(const std::string& path);
 
+/// Writes `model` to a model file at `path`, atomically like
+/// save_checkpoint: a "bayesft-model 1" line, the checkpoint's model block
+/// (model_structure_digest, snapshot_model() words, snapshot_model_rngs()
+/// states), a check record over that block's words and states, and the
+/// end marker (docs/checkpointing.md).  Throws std::runtime_error on I/O
+/// failure.
+void save_model(nn::Module& model, const std::string& path);
+
+/// Restores a save_model() file into `model`.  Throws std::runtime_error
+/// on I/O failure, on a malformed file (a checkpoint among them), or when
+/// the file's structure digest is not the live model's; `model` is then
+/// left as it was.
+void load_model(nn::Module& model, const std::string& path);
+
 /// True when a regular file exists at `path` (the resume trigger).
 bool checkpoint_exists(const std::string& path);
 
@@ -163,9 +177,9 @@ std::vector<RngState> snapshot_model_rngs(nn::Module& model);
 /// structurally identical model.
 std::uint64_t model_structure_digest(nn::Module& model);
 
-/// Restores a snapshot_model() payload.  Throws std::runtime_error on a
-/// size mismatch (callers should compare model_structure_digest first for
-/// a clearer error).
+/// Restores a snapshot_model() payload.  Throws std::runtime_error, with
+/// the model untouched, on a size mismatch (callers should compare
+/// model_structure_digest first for a clearer error).
 void restore_model(nn::Module& model, const std::vector<std::uint32_t>& bits);
 
 /// Restores snapshot_model_rngs() states.  Throws std::runtime_error on a

@@ -231,21 +231,48 @@ Tensor Conv2d::forward(Tensor input) {
     }
     cached_input_ = std::move(input);
     cols_hold_input_ = false;
-    if (mode_ != InferenceMode::kFloat32) {
-        return forward_fixed_point(cached_input_);
-    }
     const Tensor& x = cached_input_;
     const ConvGeometry g = geometry_for(x);
     const std::size_t n = x.dim(0);
     const std::size_t oh = g.out_h(), ow = g.out_w();
     const std::size_t patch = in_channels_ * kernel_ * kernel_;
     const std::size_t positions = oh * ow;
-
     Tensor output({n, out_channels_, oh, ow}, for_overwrite);
+
+    // Fixed point: dynamic per-tensor symmetric scales over W and the
+    // whole input batch (the weight grid is exactly QuantizationFault's).
+    const auto& kt = simd::kernels();
+    const int bits = inference_bits(mode_);
+    float s_x = 0.0F, scale = 0.0F;
+    if (bits != 0) {
+        const float qmax =
+            static_cast<float>((std::int32_t{1} << (bits - 1)) - 1);
+        const float s_w =
+            kt.max_abs(weight_.value.data(), weight_.value.size()) / qmax;
+        s_x = kt.max_abs(x.data(), x.size()) / qmax;
+        if (s_w == 0.0F || s_x == 0.0F) {
+            // An all-zero operand quantizes to all-zero codes: y = b.
+            for (std::size_t i = 0; i < n * out_channels_; ++i) {
+                std::fill_n(output.data() + i * positions, positions,
+                            bias_.value[i % out_channels_]);
+            }
+            return output;
+        }
+        ensure_size(weight_codes_, weight_.value.size());
+        kt.quantize_codes(weight_.value.data(), weight_codes_.data(),
+                          weight_.value.size(), bits, s_w);
+        scale = s_w * s_x;
+    }
+
     const std::size_t image_stride = in_channels_ * g.in_h * g.in_w;
     const std::size_t group = conv_group_size(n, patch, positions);
     ensure_size(cols_scratch_, patch * group * positions);
-    ensure_size(gemm_scratch_, out_channels_ * group * positions);
+    // In fixed point gemm_scratch_ first takes the unfold's transposed
+    // copy [gs*positions, patch], dead once quantized, then the product.
+    ensure_size(gemm_scratch_,
+                (bits != 0 ? std::max(patch, out_channels_) : out_channels_) *
+                    group * positions);
+    if (bits != 0) ensure_size(colsT_codes_, group * positions * patch);
     for (std::size_t g0 = 0; g0 < n; g0 += group) {
         const std::size_t gs = std::min(group, n - g0);
         const std::size_t gp = gs * positions;
@@ -257,9 +284,24 @@ Tensor Conv2d::forward(Tensor input) {
                        cols_scratch_.data() + s * positions, gp);
             }
         });
-        // One large GEMM for the group: [OC, patch] @ [patch, gs*positions].
-        gemm_overwrite(weight_.value.data(), cols_scratch_.data(),
-                       gemm_scratch_.data(), out_channels_, patch, gp);
+        if (bits == 0) {
+            // One large GEMM for the group: [OC, patch] @ [patch, gp].
+            gemm_overwrite(weight_.value.data(), cols_scratch_.data(),
+                           gemm_scratch_.data(), out_channels_, patch, gp);
+        } else {
+            // qgemm_nt wants the patches contiguous: transpose, then
+            // quantize at the image's scale.  Quantizing is elementwise and
+            // the padding's +0 is code 0, so these are the unfolded codes
+            // of the quantized image.  The product is integer arithmetic
+            // with one float rounding per output element.
+            transpose_into(cols_scratch_.data(), patch, gp,
+                           gemm_scratch_.data());
+            kt.quantize_codes(gemm_scratch_.data(), colsT_codes_.data(),
+                              gp * patch, bits, s_x);
+            kt.qgemm_nt(weight_codes_.data(), colsT_codes_.data(),
+                        gemm_scratch_.data(), out_channels_, patch, gp,
+                        scale);
+        }
         // Scatter back to [N, OC, positions] layout, adding the bias.
         parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
@@ -277,84 +319,6 @@ Tensor Conv2d::forward(Tensor input) {
         });
     }
     cols_hold_input_ = group == n;
-    return output;
-}
-
-Tensor Conv2d::forward_fixed_point(const Tensor& input) {
-    const ConvGeometry g = geometry_for(input);
-    const std::size_t n = input.dim(0);
-    const std::size_t oh = g.out_h(), ow = g.out_w();
-    const std::size_t patch = in_channels_ * kernel_ * kernel_;
-    const std::size_t positions = oh * ow;
-
-    const auto& kt = simd::kernels();
-    const int bits = inference_bits(mode_);
-    const float qmax =
-        static_cast<float>((std::int32_t{1} << (bits - 1)) - 1);
-    // Dynamic per-tensor symmetric scales over W and the whole input
-    // batch; the weight grid is exactly QuantizationFault(bits)'s view.
-    const float s_w =
-        kt.max_abs(weight_.value.data(), weight_.value.size()) / qmax;
-    const float s_x = kt.max_abs(input.data(), input.size()) / qmax;
-
-    Tensor output({n, out_channels_, oh, ow}, for_overwrite);
-    if (s_w == 0.0F || s_x == 0.0F) {
-        // An all-zero operand quantizes to all-zero codes: y = b.
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-                float* dst =
-                    output.data() + (i * out_channels_ + oc) * positions;
-                std::fill_n(dst, positions, bias_.value[oc]);
-            }
-        }
-        return output;
-    }
-    ensure_size(weight_codes_, weight_.value.size());
-    ensure_size(input_codes_, input.size());
-    kt.quantize_codes(weight_.value.data(), weight_codes_.data(),
-                      weight_.value.size(), bits, s_w);
-    kt.quantize_codes(input.data(), input_codes_.data(), input.size(), bits,
-                      s_x);
-    const float scale = s_w * s_x;
-
-    const std::size_t image_stride = in_channels_ * g.in_h * g.in_w;
-    const std::size_t group = conv_group_size(n, patch, positions);
-    ensure_size(cols_codes_, patch * group * positions);
-    ensure_size(colsT_codes_, group * positions * patch);
-    ensure_size(gemm_scratch_, out_channels_ * group * positions);
-    for (std::size_t g0 = 0; g0 < n; g0 += group) {
-        const std::size_t gs = std::min(group, n - g0);
-        const std::size_t gp = gs * positions;
-        // Unfold the code image of the group into [patch, gs*positions],
-        // then transpose: qgemm_nt wants the right operand's k-vectors
-        // (the patches) contiguous.
-        parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-                im2col_into(input_codes_.data() + (g0 + s) * image_stride, g,
-                            cols_codes_.data() + s * positions, gp);
-            }
-        });
-        transpose_into_t(cols_codes_.data(), patch, gp, colsT_codes_.data());
-        // [OC, patch] @ [patch, gs*positions] in integer arithmetic, one
-        // float rounding per output element.
-        kt.qgemm_nt(weight_codes_.data(), colsT_codes_.data(),
-                    gemm_scratch_.data(), out_channels_, patch, gp, scale);
-        // Scatter back to [N, OC, positions] layout, adding the bias.
-        parallel_for(0, gs, 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-                for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-                    float* dst = output.data() +
-                                 ((g0 + s) * out_channels_ + oc) * positions;
-                    const float* src =
-                        gemm_scratch_.data() + oc * gp + s * positions;
-                    const float b = bias_.value[oc];
-                    for (std::size_t p = 0; p < positions; ++p) {
-                        dst[p] = src[p] + b;
-                    }
-                }
-            }
-        });
-    }
     return output;
 }
 

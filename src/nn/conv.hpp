@@ -14,10 +14,10 @@ namespace bayesft::nn {
 /// Weight layout: [out_channels, in_channels * kh * kw]; bias: [out_channels].
 ///
 /// Fixed-point capable: under InferenceMode::kInt8 / kInt12 the forward
-/// quantizes the weights and the input per-tensor to signed codes, unfolds
-/// the code image (im2col_into<int16_t>), and accumulates the products in
-/// integers (simd qgemm_nt); see nn/quant.hpp.  Backward always
-/// differentiates the float path.
+/// quantizes the weights and, at the input's per-tensor scale, the float
+/// unfold to signed codes, and accumulates the products in integers (simd
+/// qgemm_nt); see nn/quant.hpp.  Backward always differentiates the float
+/// path.
 class Conv2d : public Module, public FixedPointCapable {
 public:
     Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -47,7 +47,6 @@ private:
     Conv2d(const Conv2d& other, CloneTag);
 
     ConvGeometry geometry_for(const Tensor& input) const;
-    Tensor forward_fixed_point(const Tensor& input);
     /// Accumulates dW and db; folds the input gradient into *grad_input
     /// (zero-filled, the input's shape) unless it is null.
     void backward_into(const Tensor& grad_output, Tensor* grad_input);
@@ -65,19 +64,16 @@ private:
     // across calls so the hot path allocates nothing per batch.
     std::vector<float> cols_scratch_;    // [patch, group*positions]
     // True while cols_scratch_ holds the unfold of cached_input_'s whole
-    // batch (a float forward that ran as one group); backward then skips
-    // its im2col.  Cleared by the fixed-point forward and by the backward
-    // that overwrites cols_scratch_ with dcols (backward_params leaves it).
+    // batch (a forward that ran as one group); backward then skips its
+    // im2col.  Cleared by the backward that overwrites cols_scratch_ with
+    // dcols (backward_params leaves it).
     bool cols_hold_input_ = false;
     std::vector<float> gemm_scratch_;    // [out_channels, group*positions]
     std::vector<float> grad_scratch_;    // backward: grad slab [OC, group*P]
     std::vector<float> grad_t_scratch_;  // backward: grad^T [group*P, OC]
     std::vector<float> weight_grad_t_;   // backward: dW^T [patch, OC]
-    // Fixed-point scratch: per-tensor codes of W and the input image, plus
-    // the unfolded / transposed code matrices.
+    // Fixed-point scratch: the codes of W and of the transposed unfold.
     std::vector<std::int16_t> weight_codes_;   // [OC, patch]
-    std::vector<std::int16_t> input_codes_;    // [N, C, H, W]
-    std::vector<std::int16_t> cols_codes_;     // [patch, group*positions]
     std::vector<std::int16_t> colsT_codes_;    // [group*positions, patch]
 };
 

@@ -137,20 +137,11 @@ std::string AlphaDropout::name() const {
 
 std::vector<Dropout*> collect_dropout_layers(Module& root) {
     std::vector<Dropout*> sites;
-    std::vector<Module*> stack{&root};
-    while (!stack.empty()) {
-        Module* node = stack.back();
-        stack.pop_back();
-        if (auto* dropout = dynamic_cast<Dropout*>(node)) {
+    visit(root, [&](Module& node) {
+        if (auto* dropout = dynamic_cast<Dropout*>(&node)) {
             sites.push_back(dropout);
         }
-        std::vector<Module*> children;
-        node->collect_children(children);
-        // Push in reverse so the DFS visits children front-to-back.
-        for (auto it = children.rbegin(); it != children.rend(); ++it) {
-            stack.push_back(*it);
-        }
-    }
+    });
     return sites;
 }
 

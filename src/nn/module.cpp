@@ -9,9 +9,21 @@ void Module::backward_params(Tensor grad_output) {
     (void)backward(std::move(grad_output));
 }
 
-void Module::collect_parameters(std::vector<Parameter*>&) {}
+void Module::collect_parameters(std::vector<Parameter*>& out) {
+    std::vector<Module*> children;
+    collect_children(children);
+    for (Module* child : children) child->collect_parameters(out);
+}
 
-void Module::collect_buffers(std::vector<Tensor*>&) {}
+void Module::collect_buffers(std::vector<Tensor*>& out) {
+    std::vector<Module*> children;
+    collect_children(children);
+    for (Module* child : children) child->collect_buffers(out);
+}
+
+void Module::set_training(bool training) {
+    visit(*this, [training](Module& m) { m.training_ = training; });
+}
 
 std::vector<Tensor*> Module::buffers() {
     std::vector<Tensor*> out;
@@ -58,19 +70,6 @@ void Sequential::backward_params(Tensor grad_output) {
 
 void Sequential::collect_children(std::vector<Module*>& out) {
     for (auto& child : children_) out.push_back(child.get());
-}
-
-void Sequential::collect_parameters(std::vector<Parameter*>& out) {
-    for (auto& child : children_) child->collect_parameters(out);
-}
-
-void Sequential::collect_buffers(std::vector<Tensor*>& out) {
-    for (auto& child : children_) child->collect_buffers(out);
-}
-
-void Sequential::set_training(bool training) {
-    training_ = training;
-    for (auto& child : children_) child->set_training(training);
 }
 
 std::unique_ptr<Module> Sequential::clone() const {

@@ -73,20 +73,23 @@ public:
     virtual std::unique_ptr<Module> clone() const { return nullptr; }
 
     /// Appends raw (non-owning) pointers to this module's direct children.
-    /// Leaves append nothing (the default); containers must override so the
-    /// module tree can be traversed generically (e.g. to re-locate layer
-    /// handles inside a clone()d replica).  Child order must be
+    /// Leaves append nothing (the default); containers override it and
+    /// nothing else to be walked: parameters, buffers, the train/eval flag
+    /// and nn::visit all recurse through it.  Child order must be
     /// deterministic and match the order the container runs them.
     virtual void collect_children(std::vector<Module*>& out) {
         (void)out;
     }
 
-    /// Appends raw (non-owning) pointers to this module's parameters.
+    /// Appends raw (non-owning) pointers to this module's parameters.  The
+    /// default appends each child's, in collect_children order; layers
+    /// that own parameters override it.
     virtual void collect_parameters(std::vector<Parameter*>& out);
 
     /// Appends pointers to non-learnable persistent state (e.g. batch-norm
     /// running statistics).  Buffers are serialized with checkpoints but
-    /// are never drifted or optimized.  Containers must recurse.
+    /// are never drifted or optimized.  The default recurses like
+    /// collect_parameters.
     virtual void collect_buffers(std::vector<Tensor*>& out);
 
     /// Convenience wrapper over collect_parameters.
@@ -98,9 +101,9 @@ public:
     /// Total number of scalar learnable values.
     std::size_t parameter_count();
 
-    /// Switches train/eval behaviour (dropout, batch-norm statistics).
-    /// Containers must override to recurse into children.
-    virtual void set_training(bool training) { training_ = training; }
+    /// Switches train/eval behaviour (dropout, batch-norm statistics) of
+    /// this module and every module below it.
+    void set_training(bool training);
     bool training() const { return training_; }
 
     /// Short human-readable layer name, e.g. "Linear(64->10)".
@@ -109,6 +112,16 @@ public:
 protected:
     bool training_ = true;
 };
+
+/// Calls `fn` on `root`, then on every module below it: pre-order, each
+/// container's children in collect_children order.
+template <typename Fn>
+void visit(Module& root, Fn&& fn) {
+    fn(root);
+    std::vector<Module*> children;
+    root.collect_children(children);
+    for (Module* child : children) visit(*child, fn);
+}
 
 /// Ordered container running children front-to-back (and back-to-front for
 /// gradients).  Owns its children.
@@ -139,9 +152,6 @@ public:
     /// it (an MLP's Flatten) are skipped.
     void backward_params(Tensor grad_output) override;
     void collect_children(std::vector<Module*>& out) override;
-    void collect_parameters(std::vector<Parameter*>& out) override;
-    void collect_buffers(std::vector<Tensor*>& out) override;
-    void set_training(bool training) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
 

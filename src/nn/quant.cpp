@@ -31,35 +31,23 @@ InferenceMode parse_inference_mode(const std::string& name) {
         "'");
 }
 
-namespace {
-
-template <typename Visit>
-void visit_capable(Module& node, Visit&& visit) {
-    if (auto* capable = dynamic_cast<FixedPointCapable*>(&node)) {
-        visit(*capable);
-    }
-    std::vector<Module*> children;
-    node.collect_children(children);
-    for (Module* child : children) {
-        visit_capable(*child, visit);
-    }
-}
-
-}  // namespace
-
 std::size_t set_inference_mode(Module& root, InferenceMode mode) {
     std::size_t count = 0;
-    visit_capable(root, [&](FixedPointCapable& layer) {
-        layer.set_inference_mode(mode);
-        ++count;
+    visit(root, [&](Module& node) {
+        if (auto* layer = dynamic_cast<FixedPointCapable*>(&node)) {
+            layer->set_inference_mode(mode);
+            ++count;
+        }
     });
     return count;
 }
 
 ScopedInferenceMode::ScopedInferenceMode(Module& root, InferenceMode mode) {
-    visit_capable(root, [&](FixedPointCapable& layer) {
-        saved_.emplace_back(&layer, layer.inference_mode());
-        layer.set_inference_mode(mode);
+    visit(root, [&](Module& node) {
+        if (auto* layer = dynamic_cast<FixedPointCapable*>(&node)) {
+            saved_.emplace_back(layer, layer->inference_mode());
+            layer->set_inference_mode(mode);
+        }
     });
 }
 

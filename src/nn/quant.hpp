@@ -60,8 +60,8 @@ public:
     virtual InferenceMode inference_mode() const = 0;
 };
 
-/// Walks the module tree (collect_children, depth-first) and sets `mode`
-/// on every FixedPointCapable layer.  Returns how many layers switched.
+/// Walks the module tree (nn::visit) and sets `mode` on every
+/// FixedPointCapable layer.  Returns how many layers switched.
 std::size_t set_inference_mode(Module& root, InferenceMode mode);
 
 /// RAII mode switch: applies `mode` to the tree on construction and

@@ -35,22 +35,6 @@ void Residual::collect_children(std::vector<Module*>& out) {
     out.push_back(shortcut_.get());
 }
 
-void Residual::collect_parameters(std::vector<Parameter*>& out) {
-    main_->collect_parameters(out);
-    shortcut_->collect_parameters(out);
-}
-
-void Residual::collect_buffers(std::vector<Tensor*>& out) {
-    main_->collect_buffers(out);
-    shortcut_->collect_buffers(out);
-}
-
-void Residual::set_training(bool training) {
-    training_ = training;
-    main_->set_training(training);
-    shortcut_->set_training(training);
-}
-
 std::unique_ptr<Module> Residual::clone() const {
     std::unique_ptr<Module> main_copy = main_->clone();
     std::unique_ptr<Module> shortcut_copy = shortcut_->clone();

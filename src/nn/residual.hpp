@@ -20,9 +20,6 @@ public:
     Tensor forward(Tensor input) override;
     Tensor backward(Tensor grad_output) override;
     void collect_children(std::vector<Module*>& out) override;
-    void collect_parameters(std::vector<Parameter*>& out) override;
-    void collect_buffers(std::vector<Tensor*>& out) override;
-    void set_training(bool training) override;
     std::unique_ptr<Module> clone() const override;
     std::string name() const override;
 

@@ -194,19 +194,6 @@ void SpatialTransformer::collect_children(std::vector<Module*>& out) {
     out.push_back(loc_net_.get());
 }
 
-void SpatialTransformer::collect_parameters(std::vector<Parameter*>& out) {
-    loc_net_->collect_parameters(out);
-}
-
-void SpatialTransformer::collect_buffers(std::vector<Tensor*>& out) {
-    loc_net_->collect_buffers(out);
-}
-
-void SpatialTransformer::set_training(bool training) {
-    training_ = training;
-    loc_net_->set_training(training);
-}
-
 std::unique_ptr<Module> SpatialTransformer::clone() const {
     std::unique_ptr<Module> loc_copy = loc_net_->clone();
     if (!loc_copy) return nullptr;

@@ -1,4 +1,4 @@
-// Extensions beyond the paper's minimal pipeline: model serialization,
+// Extensions beyond the paper's minimal pipeline: model files,
 // Latin-hypercube initial design, GP hyperparameter selection, and the
 // per-parameter drift sensitivity analyzer.
 
@@ -9,6 +9,7 @@
 #include <set>
 
 #include "bayesopt/design.hpp"
+#include "core/persist.hpp"
 #include "data/toy.hpp"
 #include "fault/drift.hpp"
 #include "fault/sensitivity.hpp"
@@ -16,18 +17,17 @@
 #include "nn/linear.hpp"
 #include "nn/norm.hpp"
 #include "nn/residual.hpp"
-#include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 
 namespace bayesft {
 namespace {
 
-// ------------------------------------------------------------ serialize --
+// ---------------------------------------------------------- model files --
 
 class SerializeFixture : public ::testing::Test {
 protected:
     void TearDown() override { std::remove(kPath); }
-    static constexpr const char* kPath = "/tmp/bayesft_ckpt_test.bin";
+    static constexpr const char* kPath = "/tmp/bayesft_model_test.model";
 
     static std::unique_ptr<nn::Sequential> make_model(std::uint64_t seed) {
         Rng rng(seed);
@@ -45,8 +45,8 @@ TEST_F(SerializeFixture, RoundTripRestoresExactWeights) {
     ASSERT_FALSE(source->parameters()[0]->value.equals(
         target->parameters()[0]->value));
 
-    nn::save_parameters(*source, kPath);
-    nn::load_parameters(*target, kPath);
+    core::save_model(*source, kPath);
+    core::load_model(*target, kPath);
     const auto src_params = source->parameters();
     const auto dst_params = target->parameters();
     for (std::size_t i = 0; i < src_params.size(); ++i) {
@@ -59,8 +59,8 @@ TEST_F(SerializeFixture, RoundTripPreservesPredictions) {
     auto source = make_model(1);
     auto target = make_model(2);
     const Tensor input = Tensor::randn({5, 4}, rng);
-    nn::save_parameters(*source, kPath);
-    nn::load_parameters(*target, kPath);
+    core::save_model(*source, kPath);
+    core::load_model(*target, kPath);
     source->set_training(false);
     target->set_training(false);
     EXPECT_TRUE(source->forward(input).equals(target->forward(input)));
@@ -68,8 +68,8 @@ TEST_F(SerializeFixture, RoundTripPreservesPredictions) {
 
 TEST_F(SerializeFixture, RoundTripsBatchNormRunningStatistics) {
     // Regression test: running statistics are buffers, not Parameters —
-    // v1 checkpoints silently dropped them and eval-mode restores of
-    // normalized models were wrong.
+    // a model file that dropped them would restore eval-mode predictions
+    // of normalized models wrongly.
     Rng rng(11);
     nn::Sequential source;
     source.emplace<nn::Linear>(4, 6, rng);
@@ -80,13 +80,13 @@ TEST_F(SerializeFixture, RoundTripsBatchNormRunningStatistics) {
         batch.add_scalar_(3.0F);  // push running mean away from init
         source.forward(batch);
     }
-    nn::save_parameters(source, kPath);
+    core::save_model(source, kPath);
 
     Rng rng2(12);
     nn::Sequential target;
     target.emplace<nn::Linear>(4, 6, rng2);
     target.emplace<nn::BatchNorm>(6);
-    nn::load_parameters(target, kPath);
+    core::load_model(target, kPath);
 
     const auto src_buffers = source.buffers();
     const auto dst_buffers = target.buffers();
@@ -113,15 +113,17 @@ TEST_F(SerializeFixture, BuffersRecurseThroughContainers) {
 
 TEST_F(SerializeFixture, RejectsStructuralMismatch) {
     auto source = make_model(1);
-    nn::save_parameters(*source, kPath);
+    core::save_model(*source, kPath);
     Rng rng(4);
     nn::Sequential wider;
     wider.emplace<nn::Linear>(4, 16, rng);  // shape mismatch
     wider.emplace<nn::Linear>(16, 3, rng);
-    EXPECT_THROW(nn::load_parameters(wider, kPath), std::runtime_error);
+    const Tensor before = wider.parameters()[0]->value;
+    EXPECT_THROW(core::load_model(wider, kPath), std::runtime_error);
+    EXPECT_TRUE(wider.parameters()[0]->value.equals(before));  // untouched
     nn::Sequential fewer;
     fewer.emplace<nn::Linear>(4, 8, rng);  // parameter count mismatch
-    EXPECT_THROW(nn::load_parameters(fewer, kPath), std::runtime_error);
+    EXPECT_THROW(core::load_model(fewer, kPath), std::runtime_error);
 }
 
 TEST_F(SerializeFixture, RejectsGarbageFile) {
@@ -132,10 +134,10 @@ TEST_F(SerializeFixture, RejectsGarbageFile) {
         std::fclose(f);
     }
     auto model = make_model(1);
-    EXPECT_THROW(nn::load_parameters(*model, kPath), std::runtime_error);
-    EXPECT_THROW(nn::load_parameters(*model, "/no/such/file.bin"),
+    EXPECT_THROW(core::load_model(*model, kPath), std::runtime_error);
+    EXPECT_THROW(core::load_model(*model, "/no/such/file.model"),
                  std::runtime_error);
-    EXPECT_THROW(nn::save_parameters(*model, "/no/such/dir/x.bin"),
+    EXPECT_THROW(core::save_model(*model, "/no/such/dir/x.model"),
                  std::runtime_error);
 }
 

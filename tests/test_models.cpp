@@ -1,6 +1,6 @@
 // Model zoo: forward/backward shape correctness for every architecture,
-// backward_params against backward, dropout-site bookkeeping, and
-// trainability smoke checks.
+// backward_params against backward, dropout-site bookkeeping, the module
+// walk's pinned output, and trainability smoke checks.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +8,17 @@
 #include <cstring>
 #include <functional>
 
+#include "core/persist.hpp"
 #include "data/digits.hpp"
 #include "detect/detector.hpp"
 #include "models/zoo.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv.hpp"
+#include "nn/linear.hpp"
 #include "nn/loss.hpp"
+#include "nn/norm.hpp"
+#include "nn/residual.hpp"
+#include "nn/stn.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/ops.hpp"
 
@@ -260,12 +267,8 @@ public:
     Tensor backward(Tensor grad_output) override {
         return inner_.backward(std::move(grad_output));
     }
-    void collect_parameters(std::vector<nn::Parameter*>& out) override {
-        inner_.collect_parameters(out);
-    }
-    void set_training(bool training) override {
-        training_ = training;
-        inner_.set_training(training);
+    void collect_children(std::vector<nn::Module*>& out) override {
+        out.push_back(&inner_);
     }
     std::string name() const override { return "FullBackward"; }
 
@@ -307,6 +310,121 @@ TEST(Training, BackwardParamsTrainsToTheSameWeights) {
                               pf[i]->value.size() * sizeof(float)),
                   0)
             << "parameter " << i << " (" << pf[i]->name << ")";
+    }
+}
+
+/// A SpatialTransformer, a Residual whose branches are a Sequential and a
+/// 1x1 Conv2d, an AlphaDropout and two Dropouts inside one Sequential.
+std::unique_ptr<nn::Module> make_composite(Rng& rng) {
+    auto loc = std::make_unique<nn::Sequential>();
+    loc->emplace<nn::Conv2d>(2, 4, 3, 2, 1, rng);
+    loc->emplace<nn::ReLU>();
+    loc->emplace<nn::Flatten>();
+    loc->emplace<nn::Linear>(4 * 4 * 4, 6, rng);
+    auto main = std::make_unique<nn::Sequential>();
+    main->emplace<nn::Conv2d>(2, 4, 3, 1, 1, rng);
+    main->emplace<nn::BatchNorm>(4);
+    main->emplace<nn::Dropout>(0.1);
+    auto net = std::make_unique<nn::Sequential>();
+    net->emplace<nn::SpatialTransformer>(std::move(loc));
+    auto shortcut = std::make_unique<nn::Conv2d>(2, 4, 1, 1, 0, rng);
+    net->emplace<nn::Residual>(std::move(main), std::move(shortcut));
+    net->emplace<nn::AlphaDropout>(0.1);
+    net->emplace<nn::Flatten>();
+    net->emplace<nn::Dropout>(0.2);
+    net->emplace<nn::Linear>(4 * 8 * 8, 3, rng);
+    return net;
+}
+
+/// What the module-tree walk yields for one model, built from Rng(7).
+struct WalkPin {
+    const char* name;
+    std::uint64_t structure_digest;
+    std::size_t parameters;
+    std::size_t scalars;
+    std::size_t buffers;
+    std::size_t dropout_sites;
+    std::size_t mask_streams;
+    /// FNV-1a over snapshot_model's words: the parameters' and buffers'
+    /// values in walk order.
+    std::uint64_t value_hash;
+};
+
+std::uint64_t value_hash(nn::Module& net) {
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (const std::uint32_t word : core::snapshot_model(net)) {
+        hash ^= word;
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
+/// The walk's output for every zoo model, an MLP with AlphaDropout and a
+/// composite container tree, against constants recorded before the
+/// containers' traversal overrides were folded into Module: a walk that
+/// drops, adds or reorders a parameter, buffer or dropout site fails here
+/// by model name.
+TEST(ModuleWalk, MatchesPinnedStructureOfEveryModel) {
+    const WalkPin pins[] = {
+        {"Mlp3Layer", 0xe7c8122c29425b26ULL, 6, 21258, 0, 2, 2,
+         0x9c401006d9f23fd3ULL},
+        {"MlpWithBatchNorm", 0x692d5fb2519980d1ULL, 10, 9226, 4, 2, 2,
+         0xd95ec77ff3eda5baULL},
+        {"MlpGelu", 0xaaaec14f36ccdac9ULL, 6, 8970, 0, 2, 2,
+         0x75e0574eb6ee0dbaULL},
+        {"LeNet5", 0xd869b549fce064abULL, 10, 19894, 0, 4, 4,
+         0x2b9676f9eec4d8d1ULL},
+        {"AlexNetS", 0xd5a943818c6d4615ULL, 12, 41722, 0, 5, 5,
+         0xbf1ecc36b1a1b44cULL},
+        {"Vgg11S", 0x0e5ce2666e6a7769ULL, 16, 75514, 0, 7, 7,
+         0xb0292d674d1f5c86ULL},
+        {"ResNet18S", 0xefc7ad978bf8c3c8ULL, 62, 175818, 30, 8, 8,
+         0x368a130c9821daf8ULL},
+        {"ResNet18SNoNorm", 0x8ebf9f82327558c6ULL, 32, 174698, 0, 8, 8,
+         0x0e982e447f6d6778ULL},
+        {"PreActS1", 0x27319e2dfcdb39f1ULL, 34, 78186, 14, 5, 5,
+         0x74471ca7d7fcc6a2ULL},
+        {"PreActS2", 0x672df67305360ddeULL, 58, 175626, 26, 8, 8,
+         0x2287f66ea1bc18f8ULL},
+        {"StnClassifier", 0xfdfb5052ba5c44baULL, 16, 45849, 0, 3, 3,
+         0x3a32a7e7af33b7d5ULL},
+        {"MlpAlphaDropoutBatchNorm", 0x692d5fb2519980d1ULL, 10, 9226, 4, 0,
+         2, 0xd95ec77ff3eda5baULL},
+        {"Composite", 0x383b3a815fb689ebULL, 12, 1333, 2, 2, 3,
+         0x7de407557e52c49dULL},
+    };
+    std::vector<std::pair<std::string, std::function<std::unique_ptr<
+                                            nn::Module>(Rng&)>>>
+        makers;
+    for (const ZooCase& zoo_case : zoo_cases()) {
+        makers.emplace_back(zoo_case.name, [make = zoo_case.make](Rng& rng) {
+            return make(rng).net;
+        });
+    }
+    makers.emplace_back("MlpAlphaDropoutBatchNorm", [](Rng& rng) {
+        MlpOptions options;
+        options.input_features = 64;
+        options.norm = NormKind::kBatch;
+        options.dropout = DropoutKind::kAlpha;
+        return make_mlp(options, rng).net;
+    });
+    makers.emplace_back("Composite", make_composite);
+    ASSERT_EQ(makers.size(), std::size(pins));
+    for (std::size_t i = 0; i < makers.size(); ++i) {
+        const WalkPin& pin = pins[i];
+        ASSERT_EQ(makers[i].first, pin.name);
+        Rng rng(7);
+        const std::unique_ptr<nn::Module> net = makers[i].second(rng);
+        EXPECT_EQ(core::model_structure_digest(*net), pin.structure_digest)
+            << pin.name;
+        EXPECT_EQ(net->parameters().size(), pin.parameters) << pin.name;
+        EXPECT_EQ(net->parameter_count(), pin.scalars) << pin.name;
+        EXPECT_EQ(net->buffers().size(), pin.buffers) << pin.name;
+        EXPECT_EQ(nn::collect_dropout_layers(*net).size(), pin.dropout_sites)
+            << pin.name;
+        EXPECT_EQ(core::snapshot_model_rngs(*net).size(), pin.mask_streams)
+            << pin.name;
+        EXPECT_EQ(value_hash(*net), pin.value_hash) << pin.name;
     }
 }
 

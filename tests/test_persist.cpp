@@ -1,7 +1,8 @@
 // Run persistence: checkpoint file round trips (bit-exact doubles, digest
 // and version validation, corruption rejection, a fixed-RNG mutation
-// corpus over live and legacy files), engine memo-cache export/import,
-// model snapshot/restore, the JSONL run store + report summaries, and the
+// corpus over live and legacy checkpoints and a live model file), engine
+// memo-cache export/import, model snapshot/restore, model files, the
+// JSONL run store + report summaries, and the
 // kill/resume torture tests — a search interrupted at every trial boundary
 // and resumed from its checkpoint must produce final results (best point,
 // GP trial history, model weights) bitwise equal to an uninterrupted run,
@@ -372,6 +373,28 @@ TEST(ModelSnapshotTest, RoundTripRestoresWeightsAndMaskStreams) {
     models::ModelHandle wrong = models::make_mlp(other, other_rng);
     EXPECT_NE(digest, model_structure_digest(*wrong.net));
     EXPECT_THROW(restore_model(*wrong.net, bits), std::runtime_error);
+}
+
+TEST(ModelFileTest, CheckpointsAndModelFilesRefuseEachOther) {
+    models::MlpOptions options;
+    options.input_features = 2;
+    options.hidden = 8;
+    options.classes = 3;
+    Rng rng(5);
+    models::ModelHandle model = models::make_mlp(options, rng);
+    const std::vector<std::uint32_t> bits = snapshot_model(*model.net);
+
+    const std::string checkpoint_path = temp_path("refuse.ckpt");
+    const std::string model_path = temp_path("refuse.model");
+    save_checkpoint(sample_checkpoint(), checkpoint_path);
+    save_model(*model.net, model_path);
+    EXPECT_THROW(load_model(*model.net, checkpoint_path), std::runtime_error);
+    EXPECT_EQ(bits, snapshot_model(*model.net));
+    EXPECT_THROW(load_checkpoint(model_path), std::runtime_error);
+    EXPECT_NO_THROW(load_model(*model.net, model_path));
+    EXPECT_EQ(bits, snapshot_model(*model.net));
+    fs::remove(checkpoint_path);
+    fs::remove(model_path);
 }
 
 // ------------------------------------------------ engine memo cache ----
@@ -933,7 +956,8 @@ std::string mutate(const std::string& text, Rng& rng) {
 
 TEST_F(ResumeTortureFixture, CheckpointLoaderSurvivesMutationCorpus) {
     // The corpus: a live bayesft_search checkpoint (model bits), a live
-    // arch_search checkpoint (memo cache), and the committed v2 fixture.
+    // arch_search checkpoint (memo cache), and the committed v2 fixture;
+    // then a live model file.
     const std::string live_path = temp_path("fuzz_live.ckpt");
     std::vector<std::string> corpus;
     {
@@ -983,6 +1007,69 @@ TEST_F(ResumeTortureFixture, CheckpointLoaderSurvivesMutationCorpus) {
         EXPECT_GT(rejected, 0U);
     }
     fs::remove(path);
+
+    // A live model file of a trained MLP with BatchNorm buffers and two
+    // dropout mask streams: every mutant either loads the saved bits and
+    // mask states or throws std::runtime_error and leaves the model as it
+    // was.  The MLP is small, so a mutated count declares at most a few
+    // thousand words.
+    models::MlpOptions options;
+    options.input_features = 2;
+    options.hidden = 6;
+    options.classes = 3;
+    options.norm = models::NormKind::kBatch;
+    Rng model_rng(61);
+    models::ModelHandle model = models::make_mlp(options, model_rng);
+    model.set_dropout_rates({0.2, 0.2});
+    nn::TrainConfig train;
+    train.epochs = 1;
+    nn::train_classifier(*model.net, train_.images, train_.labels, train,
+                         model_rng);
+    const std::string model_path = temp_path("fuzz_live.model");
+    save_model(*model.net, model_path);
+    const std::string model_file = read_file(model_path);
+    const std::vector<std::uint32_t> saved_bits = snapshot_model(*model.net);
+    const std::vector<RngState> saved_rngs = snapshot_model_rngs(*model.net);
+    ASSERT_EQ(saved_rngs.size(), 2U);
+    ASSERT_EQ(model.net->buffers().size(), 4U);
+
+    Rng target_rng(62);
+    models::ModelHandle target = models::make_mlp(options, target_rng);
+    load_model(*target.net, model_path);
+    ASSERT_EQ(snapshot_model(*target.net), saved_bits);
+
+    std::size_t rejected = 0;
+    for (int i = 0; i < 1000; ++i) {
+        // Scramble the target first, so a mutant that loads must have
+        // written every word and mask state.
+        for (nn::Parameter* p : target.net->parameters()) {
+            p->value.add_scalar_(1.0F);
+        }
+        for (Tensor* buffer : target.net->buffers()) buffer->add_scalar_(1.0F);
+        for (nn::Dropout* site : target.dropout_sites) {
+            site->set_mask_rng_state(Rng(1000 + i).state());
+        }
+        const std::vector<std::uint32_t> before = snapshot_model(*target.net);
+        const std::vector<RngState> before_rngs =
+            snapshot_model_rngs(*target.net);
+        write_file(model_path, mutate(model_file, rng));
+        try {
+            load_model(*target.net, model_path);
+            EXPECT_EQ(snapshot_model(*target.net), saved_bits) << i;
+            EXPECT_EQ(snapshot_model_rngs(*target.net), saved_rngs) << i;
+        } catch (const std::runtime_error& error) {
+            ++rejected;
+            const std::string what = error.what();
+            EXPECT_EQ(what.rfind("checkpoint: ", 0), 0U) << what;
+            EXPECT_EQ(snapshot_model(*target.net), before) << what;
+            EXPECT_EQ(snapshot_model_rngs(*target.net), before_rngs) << what;
+        } catch (const std::exception& error) {
+            ADD_FAILURE() << "mutant " << i << " escaped as a "
+                          << "non-runtime_error: " << error.what();
+        }
+    }
+    EXPECT_GT(rejected, 0U);
+    fs::remove(model_path);
 }
 
 }  // namespace

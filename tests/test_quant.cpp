@@ -249,24 +249,106 @@ TEST(QuantLinear, AllZeroWeightsFallBackToBias) {
 
 // -------------------------------------------------------- Conv2d path ----
 
-/// The fixed-point Conv2d forward (a pad-1 conv, unfolded through
-/// im2col_into<std::int16_t>) against a direct convolution over the
-/// integer codes, on every tier: random data at int8 and int12, and int12
-/// boundary data whose +-2047 and tie codes sit in the image's corners and
-/// edges, next to the padding zeros.
-TEST(QuantConv, FixedPointForwardMatchesIntegerReference) {
-    Rng rng(51);
-    const std::size_t C = 2, OC = 3, K = 3, H = 5, W = 5, N = 2;
-    Conv2d conv(C, OC, K, /*stride=*/1, /*pad=*/1, rng);
-    Rng data_rng(52);
-    const Tensor random_input = Tensor::randn({N, C, H, W}, data_rng);
-    const std::vector<float> random_w(
-        conv.weight().value.data(),
-        conv.weight().value.data() + conv.weight().value.size());
-    const std::vector<float> random_x(
-        random_input.data(), random_input.data() + random_input.size());
+/// One Conv2d layer and the batch it runs on.
+struct ConvShape {
+    const char* name;
+    std::size_t in_channels, out_channels, kernel, stride, pad, h, w, batch;
+    std::size_t out_h() const { return (h + 2 * pad - kernel) / stride + 1; }
+    std::size_t out_w() const { return (w + 2 * pad - kernel) / stride + 1; }
+};
 
-    std::vector<float> edge_w(OC * C * K * K), edge_x(N * C * H * W);
+/// Direct convolution over the integer codes of W [OC, C*K*K] and x
+/// [N, C, H, W], padding reading code 0: each output is the exact integer
+/// sum, times `scale`, plus the bias.
+std::vector<float> direct_conv_codes(const ConvShape& c,
+                                     const std::vector<std::int16_t>& wc,
+                                     const std::vector<std::int16_t>& xc,
+                                     float scale, const float* bias) {
+    const std::size_t C = c.in_channels, K = c.kernel;
+    const std::size_t oh = c.out_h(), ow = c.out_w();
+    std::vector<float> ref(c.batch * c.out_channels * oh * ow);
+    for (std::size_t s = 0; s < c.batch; ++s) {
+        for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    std::int64_t acc = 0;
+                    for (std::size_t ch = 0; ch < C; ++ch) {
+                        for (std::size_t ky = 0; ky < K; ++ky) {
+                            for (std::size_t kx = 0; kx < K; ++kx) {
+                                const std::ptrdiff_t iy =
+                                    std::ptrdiff_t(oy * c.stride + ky) -
+                                    std::ptrdiff_t(c.pad);
+                                const std::ptrdiff_t ix =
+                                    std::ptrdiff_t(ox * c.stride + kx) -
+                                    std::ptrdiff_t(c.pad);
+                                if (iy < 0 || iy >= std::ptrdiff_t(c.h) ||
+                                    ix < 0 || ix >= std::ptrdiff_t(c.w)) {
+                                    continue;
+                                }
+                                const std::size_t wi =
+                                    ((oc * C + ch) * K + ky) * K + kx;
+                                const std::size_t xj =
+                                    ((s * C + ch) * c.h + iy) * c.w + ix;
+                                acc += std::int64_t(xc[xj]) *
+                                       std::int64_t(wc[wi]);
+                            }
+                        }
+                    }
+                    float v = static_cast<float>(acc) * scale;
+                    v += bias[oc];
+                    ref[((s * c.out_channels + oc) * oh + oy) * ow + ox] = v;
+                }
+            }
+        }
+    }
+    return ref;
+}
+
+/// The fixed-point Conv2d forward against a direct convolution over the
+/// integer codes, on every tier, at int8 and int12: random data on a pad-1
+/// layer, LeNet's two layers at batch 32, a stride-2 and a stride-3 layer
+/// (strides other than 1, and the scalar tier's one-lane rows, take other
+/// unfold paths), and int12 boundary data on the pad-1 layer, whose
+/// +-2047 and tie codes sit in the image's corners and edges, next to the
+/// padding zeros.
+TEST(QuantConv, FixedPointForwardMatchesIntegerReference) {
+    const ConvShape shapes[] = {
+        {"pad1 2->3 k3 5x5", 2, 3, 3, 1, 1, 5, 5, 2},
+        {"lenet conv1 1->6 k5 p2 16x16", 1, 6, 5, 1, 2, 16, 16, 32},
+        {"lenet conv2 6->16 k3 p1 8x8", 6, 16, 3, 1, 1, 8, 8, 32},
+        {"3->5 k3 s2 p1 9x11", 3, 5, 3, 2, 1, 9, 11, 3},
+        {"3->8 k4 s3 p0 13x10", 3, 8, 4, 3, 0, 13, 10, 2},
+    };
+    struct Case {
+        const ConvShape* shape;
+        InferenceMode mode;
+        std::vector<float> w, x;
+        bool boundary;
+    };
+    std::vector<Case> cases;
+    Rng rng(51);
+    Rng data_rng(52);
+    for (const ConvShape& shape : shapes) {
+        Conv2d init(shape.in_channels, shape.out_channels, shape.kernel,
+                    shape.stride, shape.pad, rng);
+        const Tensor input = Tensor::randn(
+            {shape.batch, shape.in_channels, shape.h, shape.w}, data_rng);
+        const std::vector<float> w(
+            init.weight().value.data(),
+            init.weight().value.data() + init.weight().value.size());
+        const std::vector<float> x(input.data(),
+                                   input.data() + input.size());
+        for (const InferenceMode mode :
+             {InferenceMode::kInt8, InferenceMode::kInt12}) {
+            cases.push_back({&shape, mode, w, x, false});
+        }
+    }
+
+    // Boundary data on the pad-1 layer.
+    const ConvShape& b = shapes[0];
+    const std::size_t C = b.in_channels, H = b.h, W = b.w;
+    std::vector<float> edge_w(b.out_channels * C * b.kernel * b.kernel),
+        edge_x(b.batch * C * H * W);
     for (float& v : edge_w) v = static_cast<float>(rng.uniform(-1.9, 1.9));
     for (float& v : edge_x) v = static_cast<float>(rng.uniform(-31.0, 31.0));
     // Weights: +-max at the first and last taps, ties at corner taps.
@@ -283,26 +365,20 @@ TEST(QuantConv, FixedPointForwardMatchesIntegerReference) {
         xi(1, 1, 0, 3),     xi(1, 0, 3, W - 1)};
     const auto w_want = place_int12_boundaries(edge_w, w_at, 0x1p-10F);
     const auto x_want = place_int12_boundaries(edge_x, x_at, 0x1p-6F);
+    cases.push_back({&b, InferenceMode::kInt12, edge_w, edge_x, true});
 
-    struct Case {
-        InferenceMode mode;
-        const std::vector<float>* w;
-        const std::vector<float>* x;
-        bool boundary;
-    };
-    const Case cases[] = {{InferenceMode::kInt8, &random_w, &random_x, false},
-                          {InferenceMode::kInt12, &random_w, &random_x, false},
-                          {InferenceMode::kInt12, &edge_w, &edge_x, true}};
     for (const simd::Tier tier : runnable_tiers()) {
         simd::TierOverride override_tier(tier);
         for (const Case& c : cases) {
+            const ConvShape& shape = *c.shape;
             const int bits = inference_bits(c.mode);
-            const std::string what = std::string(inference_mode_name(c.mode)) +
+            const std::string what = std::string(shape.name) + " " +
+                                     inference_mode_name(c.mode) +
                                      (c.boundary ? " boundary" : " random") +
                                      " tier " + simd::tier_name(tier);
             float s_w = 0.0F, s_x = 0.0F;
-            const auto wc = codes_of(*c.w, bits, &s_w);
-            const auto xc = codes_of(*c.x, bits, &s_x);
+            const auto wc = codes_of(c.w, bits, &s_w);
+            const auto xc = codes_of(c.x, bits, &s_x);
             if (c.boundary) {
                 EXPECT_EQ(s_w, 0x1p-10F) << what;
                 EXPECT_EQ(s_x, 0x1p-6F) << what;
@@ -313,49 +389,20 @@ TEST(QuantConv, FixedPointForwardMatchesIntegerReference) {
                     EXPECT_EQ(xc[x_at[i]], x_want[i]) << what << " x " << i;
                 }
             }
-            const float scale = s_w * s_x;
-
-            // Direct convolution over the integer codes (padding reads
-            // code 0).
-            std::vector<float> ref(N * OC * H * W);
-            for (std::size_t s = 0; s < N; ++s) {
-                for (std::size_t oc = 0; oc < OC; ++oc) {
-                    for (std::size_t oy = 0; oy < H; ++oy) {
-                        for (std::size_t ox = 0; ox < W; ++ox) {
-                            std::int64_t acc = 0;
-                            for (std::size_t ch = 0; ch < C; ++ch) {
-                                for (std::size_t ky = 0; ky < K; ++ky) {
-                                    for (std::size_t kx = 0; kx < K; ++kx) {
-                                        const std::ptrdiff_t iy =
-                                            std::ptrdiff_t(oy + ky) - 1;
-                                        const std::ptrdiff_t ix =
-                                            std::ptrdiff_t(ox + kx) - 1;
-                                        if (iy < 0 || iy >= std::ptrdiff_t(H) ||
-                                            ix < 0 || ix >= std::ptrdiff_t(W)) {
-                                            continue;
-                                        }
-                                        const std::size_t wi =
-                                            ((oc * C + ch) * K + ky) * K + kx;
-                                        const std::size_t xj =
-                                            xi(s, ch, iy, ix);
-                                        acc += std::int64_t(xc[xj]) *
-                                               std::int64_t(wc[wi]);
-                                    }
-                                }
-                            }
-                            float v = static_cast<float>(acc) * scale;
-                            v += conv.bias().value.data()[oc];
-                            ref[((s * OC + oc) * H + oy) * W + ox] = v;
-                        }
-                    }
-                }
+            Rng layer_rng(53);
+            Conv2d conv(shape.in_channels, shape.out_channels, shape.kernel,
+                        shape.stride, shape.pad, layer_rng);
+            for (std::size_t oc = 0; oc < shape.out_channels; ++oc) {
+                conv.bias().value.data()[oc] = 0.125F * float(oc) - 0.25F;
             }
+            const std::vector<float> ref = direct_conv_codes(
+                shape, wc, xc, s_w * s_x, conv.bias().value.data());
 
-            std::copy(c.w->begin(), c.w->end(), conv.weight().value.data());
+            std::copy(c.w.begin(), c.w.end(), conv.weight().value.data());
             conv.set_inference_mode(c.mode);
-            const Tensor out = conv.forward(Tensor({N, C, H, W}, *c.x));
-            conv.set_inference_mode(InferenceMode::kFloat32);
-            ASSERT_EQ(out.size(), ref.size());
+            const Tensor out = conv.forward(Tensor(
+                {shape.batch, shape.in_channels, shape.h, shape.w}, c.x));
+            ASSERT_EQ(out.size(), ref.size()) << what;
             const std::vector<float> got(out.data(), out.data() + out.size());
             EXPECT_TRUE(bits_equal(ref, got)) << what;
         }
